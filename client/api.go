@@ -64,14 +64,14 @@ const (
 // instead of string-matching messages. APIError.Code carries them; servers
 // predating the field map onto a code derived from the HTTP status.
 const (
-	CodeInvalid      = "invalid"       // 400
-	CodeUnauthorized = "unauthorized"  // 401
-	CodeNotFound     = "not_found"     // 404
-	CodeConflict     = "conflict"      // 409
-	CodeSaturated    = "saturated"     // 429
-	CodeShardDown    = "shard_down"    // 502
-	CodeDeadline     = "deadline"      // 504
-	CodeInternal     = "internal"      // anything else
+	CodeInvalid      = "invalid"      // 400
+	CodeUnauthorized = "unauthorized" // 401
+	CodeNotFound     = "not_found"    // 404
+	CodeConflict     = "conflict"     // 409
+	CodeSaturated    = "saturated"    // 429
+	CodeShardDown    = "shard_down"   // 502
+	CodeDeadline     = "deadline"     // 504
+	CodeInternal     = "internal"     // anything else
 )
 
 // Job states. A job moves pending → running → done or failed; canceling a
@@ -587,17 +587,17 @@ func MergeStageStats(dst, src map[string]LatencyStats) map[string]LatencyStats {
 // same shape under "totals" plus a per-shard breakdown; Client.Stats
 // normalizes both to this struct.
 type Stats struct {
-	UptimeSeconds     float64      `json:"uptime_seconds"`
-	Datasets          []string     `json:"datasets"`
-	Requests          int64        `json:"requests"`
-	Completed         int64        `json:"completed"`
-	Failed            int64        `json:"failed"`
-	RejectedSaturated int64        `json:"rejected_saturated"`
-	DeadlineExceeded  int64        `json:"deadline_exceeded"`
-	InFlight          int64        `json:"in_flight"`
-	Queued            int64        `json:"queued"`
-	MaxInFlight       int          `json:"max_in_flight"`
-	MaxQueue          int          `json:"max_queue"`
+	UptimeSeconds     float64  `json:"uptime_seconds"`
+	Datasets          []string `json:"datasets"`
+	Requests          int64    `json:"requests"`
+	Completed         int64    `json:"completed"`
+	Failed            int64    `json:"failed"`
+	RejectedSaturated int64    `json:"rejected_saturated"`
+	DeadlineExceeded  int64    `json:"deadline_exceeded"`
+	InFlight          int64    `json:"in_flight"`
+	Queued            int64    `json:"queued"`
+	MaxInFlight       int      `json:"max_in_flight"`
+	MaxQueue          int      `json:"max_queue"`
 	// Failovers counts reads a router answered from a follower replica
 	// because the primary failed mid-request (router only).
 	Failovers int64 `json:"failovers,omitempty"`
@@ -608,8 +608,8 @@ type Stats struct {
 	// dataset onto a follower (router only).
 	ReplicaSyncs int64 `json:"replica_syncs,omitempty"`
 	// JobsDone / JobsFailed count settled control-plane jobs by outcome.
-	JobsDone   int64      `json:"jobs_done,omitempty"`
-	JobsFailed int64      `json:"jobs_failed,omitempty"`
+	JobsDone   int64 `json:"jobs_done,omitempty"`
+	JobsFailed int64 `json:"jobs_failed,omitempty"`
 	// Mutations counts mutation ops applied across all datasets.
 	Mutations int64 `json:"mutations,omitempty"`
 	// StandingQueries is the number of registered standing queries (gauge).
@@ -623,8 +623,8 @@ type Stats struct {
 	// StandingNotified counts mutation batches that matched at least one
 	// standing query; StandingNotified / StandingEvals is the coalescing
 	// ratio (> 1 when bursts fold into fewer re-evaluations).
-	StandingNotified int64 `json:"standing_notified,omitempty"`
-	Cache      CacheStats `json:"cache"`
+	StandingNotified int64      `json:"standing_notified,omitempty"`
+	Cache            CacheStats `json:"cache"`
 	// Latency is the histogram of completed (2xx) requests — the original
 	// global series, kept completed-only so its meaning never shifts under
 	// consumers.
@@ -699,12 +699,12 @@ type StandingQueryRequest struct {
 // StandingQuery is the standing-query resource: the registered parameters
 // plus the last evaluated result snapshot.
 type StandingQuery struct {
-	ID      string    `json:"id"`
-	Dataset string    `json:"dataset"`
-	Algo    Algo      `json:"algo"`
-	Q       []int32   `json:"q"`
-	K       int       `json:"k"`
-	T       float64   `json:"t"`
+	ID        string    `json:"id"`
+	Dataset   string    `json:"dataset"`
+	Algo      Algo      `json:"algo"`
+	Q         []int32   `json:"q"`
+	K         int       `json:"k"`
+	T         float64   `json:"t"`
 	CreatedAt time.Time `json:"created_at"`
 	// Version is the dataset mutation version of the last evaluation.
 	Version uint64 `json:"version"`

@@ -4,13 +4,12 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 	"os"
 
+	"roadsocial/internal/durable"
 	"roadsocial/internal/mac"
-	"roadsocial/internal/road"
 	"roadsocial/internal/social"
 )
 
@@ -22,22 +21,16 @@ import (
 // exactly the register-time profile a control plane wants for dataset moves
 // and restarts.
 //
-// Two wire versions exist, distinguished by their 8-byte magic:
+// The wire format is RSNAPv2 (magic "RSNAPv2\n"): a sectioned, 8-byte-aligned
+// little-endian layout whose payload IS the in-memory flat arrays (CSR road
+// graph, flat G-tree slabs), so a file can be memory-mapped and used in
+// place. See docs/snapshot.md.
 //
-//	RSNAPv1\n — element-by-element varint codec. Legacy; still read.
-//	RSNAPv2\n — sectioned, 8-byte-aligned little-endian layout whose
-//	            payload IS the in-memory flat arrays (CSR road graph,
-//	            flat G-tree slabs), so a file can be memory-mapped and
-//	            used in place. Written by default. See docs/snapshot.md.
-//
-// Floats are stored as raw IEEE-754 bits in both versions, and both freeze
-// the road graph to the same canonical CSR, so a loaded network — v1, v2
-// buffered, or v2 mmap'ed — is bit-identical to the one serialized:
-// searches against it return byte-identical results. Checksums catch
-// truncated or corrupted files before any of the payload is trusted.
-
-// snapshotMagic identifies version 1 of the format.
-const snapshotMagic = "RSNAPv1\n"
+// Floats are stored as raw IEEE-754 bits, and the road graph is frozen to a
+// canonical CSR, so a loaded network — buffered or mmap'ed — is
+// bit-identical to the one serialized: searches against it return
+// byte-identical results. Checksums catch truncated or corrupted files
+// before any of the payload is trusted.
 
 // DefaultMaxSnapshotBytes caps how much the buffered readers will hold in
 // memory for one snapshot (1 GiB) when the caller does not choose a limit:
@@ -61,48 +54,8 @@ func WriteSnapshotVersion(w io.Writer, net *mac.Network, version uint64) error {
 	return writeSnapshotV2(w, net, version)
 }
 
-// writeSnapshotV1 emits the legacy format. Kept (unexported) so tests can
-// prove v1 files keep loading into bit-identical networks.
-func writeSnapshotV1(w io.Writer, net *mac.Network) error {
-	if err := net.Validate(); err != nil {
-		return err
-	}
-	var buf bytes.Buffer
-	if err := encodeSocial(&buf, net.Social); err != nil {
-		return err
-	}
-	if err := road.EncodeGraph(&buf, net.Road); err != nil {
-		return err
-	}
-	for _, l := range net.Locs {
-		if err := road.EncodeLocation(&buf, l); err != nil {
-			return err
-		}
-	}
-	if gt, ok := net.Oracle.(*road.GTree); ok {
-		buf.WriteByte(1)
-		if err := road.EncodeGTree(&buf, gt); err != nil {
-			return err
-		}
-	} else {
-		buf.WriteByte(0)
-	}
-
-	payload := buf.Bytes()
-	var header [20]byte
-	copy(header[:8], snapshotMagic)
-	binary.LittleEndian.PutUint64(header[8:16], uint64(len(payload)))
-	binary.LittleEndian.PutUint32(header[16:20], crc32.ChecksumIEEE(payload))
-	if _, err := w.Write(header[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
-}
-
-// ReadSnapshot deserializes a network written by WriteSnapshot — either
-// version, dispatched on the magic — holding at most DefaultMaxSnapshotBytes
-// in memory.
+// ReadSnapshot deserializes a network written by WriteSnapshot, holding at
+// most DefaultMaxSnapshotBytes in memory.
 func ReadSnapshot(r io.Reader) (*mac.Network, error) {
 	return ReadSnapshotLimit(r, DefaultMaxSnapshotBytes)
 }
@@ -118,87 +71,22 @@ func ReadSnapshotLimit(r io.Reader, maxBytes int64) (*mac.Network, error) {
 }
 
 // ReadSnapshotLimitVersion is ReadSnapshotLimit surfacing the dataset
-// mutation version stamped in the RSNAPv2 header; v1 snapshots and
-// unstamped v2 snapshots report version 0.
+// mutation version stamped in the RSNAPv2 header; unstamped snapshots
+// report version 0.
 func ReadSnapshotLimitVersion(r io.Reader, maxBytes int64) (*mac.Network, uint64, error) {
 	var magic [8]byte
 	if _, err := io.ReadFull(r, magic[:]); err != nil {
 		return nil, 0, fmt.Errorf("dataset: snapshot header: %w", err)
 	}
-	switch string(magic[:]) {
-	case snapshotMagic:
-		net, err := readSnapshotV1(r, maxBytes)
-		return net, 0, err
-	case snapshotMagicV2:
-		return readSnapshotV2(r, maxBytes)
-	default:
+	if string(magic[:]) != snapshotMagicV2 {
 		return nil, 0, fmt.Errorf("dataset: not a snapshot (or unsupported version): magic %q", magic[:])
 	}
+	return readSnapshotV2(r, maxBytes)
 }
 
-// readSnapshotV1 decodes the legacy format; the caller has already consumed
-// the 8 magic bytes. The payload is read with CopyN into a growing buffer
-// rather than allocated up front, so a crafted length field costs bytes
-// actually sent, not bytes declared.
-func readSnapshotV1(r io.Reader, maxBytes int64) (*mac.Network, error) {
-	var header [12]byte
-	if _, err := io.ReadFull(r, header[:]); err != nil {
-		return nil, fmt.Errorf("dataset: snapshot header: %w", err)
-	}
-	size := binary.LittleEndian.Uint64(header[0:8])
-	if size > uint64(maxBytes) {
-		return nil, fmt.Errorf("dataset: snapshot payload of %d bytes exceeds the %d limit", size, maxBytes)
-	}
-	want := binary.LittleEndian.Uint32(header[8:12])
-	var buf bytes.Buffer
-	if n, err := io.CopyN(&buf, r, int64(size)); err != nil {
-		return nil, fmt.Errorf("dataset: snapshot truncated at byte %d of %d: %w", n, size, err)
-	}
-	payload := buf.Bytes()
-	if got := crc32.ChecksumIEEE(payload); got != want {
-		return nil, fmt.Errorf("dataset: snapshot checksum mismatch (got %08x, want %08x)", got, want)
-	}
-	return decodeSnapshotV1(payload)
-}
-
-// decodeSnapshotV1 decodes a verified v1 payload into a network.
-func decodeSnapshotV1(payload []byte) (*mac.Network, error) {
-	br := bytes.NewReader(payload)
-	gs, err := decodeSocial(br)
-	if err != nil {
-		return nil, err
-	}
-	gr, err := road.DecodeGraph(br)
-	if err != nil {
-		return nil, err
-	}
-	locs := make([]road.Location, gs.N())
-	for i := range locs {
-		if locs[i], err = road.DecodeLocation(br, gr); err != nil {
-			return nil, fmt.Errorf("dataset: snapshot location %d: %w", i, err)
-		}
-	}
-	net := &mac.Network{Social: gs, Road: gr, Locs: locs}
-	hasGT, err := br.ReadByte()
-	if err != nil {
-		return nil, fmt.Errorf("dataset: snapshot gtree flag: %w", err)
-	}
-	if hasGT == 1 {
-		gt, err := road.DecodeGTree(br, gr)
-		if err != nil {
-			return nil, err
-		}
-		net.Oracle = gt
-	}
-	if br.Len() != 0 {
-		return nil, fmt.Errorf("dataset: snapshot carries %d trailing bytes", br.Len())
-	}
-	return net, net.Validate()
-}
-
-// WriteSnapshotFile writes the snapshot atomically: a temp file in the
-// target directory, renamed into place on success, so a crashed writer
-// never leaves a half-written snapshot under the real name.
+// WriteSnapshotFile writes the snapshot crash-atomically (durable.WriteFile):
+// a crashed writer leaves the old file or the new one under the real name,
+// never a half-written snapshot.
 func WriteSnapshotFile(path string, net *mac.Network) error {
 	return WriteSnapshotFileVersion(path, net, 0)
 }
@@ -206,34 +94,22 @@ func WriteSnapshotFile(path string, net *mac.Network) error {
 // WriteSnapshotFileVersion is WriteSnapshotFile with a version stamp (see
 // WriteSnapshotVersion).
 func WriteSnapshotFileVersion(path string, net *mac.Network, version uint64) error {
-	tmp, err := os.CreateTemp(dirOf(path), ".snapshot-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if err := WriteSnapshotVersion(tmp, net, version); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
+	return durable.WriteFile(path, func(w io.Writer) error {
+		return WriteSnapshotVersion(w, net, version)
+	})
 }
 
-// ReadSnapshotFile loads a snapshot from disk. RSNAPv2 files are
-// memory-mapped (on platforms with mmap; a build-tag fallback reads into an
-// aligned buffer) and validated in place, so registering costs page faults
-// rather than decoding and no buffering cap applies; RSNAPv1 files take the
-// legacy decode path, capped only by the actual file size.
+// ReadSnapshotFile loads a snapshot from disk. The file is memory-mapped (on
+// platforms with mmap; a build-tag fallback reads into an aligned buffer)
+// and validated in place, so registering costs page faults rather than
+// decoding and no buffering cap applies.
 func ReadSnapshotFile(path string) (*mac.Network, error) {
 	net, _, err := ReadSnapshotFileVersion(path)
 	return net, err
 }
 
 // ReadSnapshotFileVersion is ReadSnapshotFile surfacing the dataset
-// mutation version stamped in the RSNAPv2 header (0 for v1 and unstamped
-// files).
+// mutation version stamped in the RSNAPv2 header (0 for unstamped files).
 func ReadSnapshotFileVersion(path string) (*mac.Network, uint64, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -244,37 +120,23 @@ func ReadSnapshotFileVersion(path string) (*mac.Network, uint64, error) {
 	if _, err := io.ReadFull(f, magic[:]); err != nil {
 		return nil, 0, fmt.Errorf("dataset: snapshot header: %w", err)
 	}
+	if string(magic[:]) != snapshotMagicV2 {
+		return nil, 0, fmt.Errorf("dataset: not a snapshot (or unsupported version): magic %q", magic[:])
+	}
 	st, err := f.Stat()
 	if err != nil {
 		return nil, 0, err
 	}
-	switch string(magic[:]) {
-	case snapshotMagicV2:
-		hold, err := mapFile(f, st.Size())
-		if err != nil {
-			return nil, 0, fmt.Errorf("dataset: snapshot map: %w", err)
-		}
-		net, version, err := loadSnapshotV2(hold.data, hold)
-		if err != nil {
-			hold.close()
-			return nil, 0, err
-		}
-		return net, version, nil
-	case snapshotMagic:
-		net, err := readSnapshotV1(f, st.Size())
-		return net, 0, err
-	default:
-		return nil, 0, fmt.Errorf("dataset: not a snapshot (or unsupported version): magic %q", magic[:])
+	hold, err := mapFile(f, st.Size())
+	if err != nil {
+		return nil, 0, fmt.Errorf("dataset: snapshot map: %w", err)
 	}
-}
-
-func dirOf(path string) string {
-	for i := len(path) - 1; i >= 0; i-- {
-		if path[i] == '/' {
-			return path[:i+1]
-		}
+	net, version, err := loadSnapshotV2(hold.data, hold)
+	if err != nil {
+		hold.close()
+		return nil, 0, err
 	}
-	return "."
+	return net, version, nil
 }
 
 // encodeSocial writes the social graph: header (n, d, m), the undirected

@@ -4,10 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
-	"hash/crc32"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
 	"roadsocial/internal/gen"
@@ -40,19 +41,16 @@ func snapshotNetwork(t testing.TB) (*mac.Network, []int32, int, float64) {
 	return net, qs[0], k, tt
 }
 
-// TestSnapshotRoundTrip: every way of loading a snapshot — the legacy v1
-// codec, the v2 buffered reader, and the v2 file loader (mmap on platforms
-// that have it, the aligned-buffer fallback under the nommap tag) — yields
-// a network that answers searches byte-identically to the freshly-built
-// one, and the structural invariants (counts, attrs, locations, G-tree
-// presence) survive exactly.
+// TestSnapshotRoundTrip: every way of loading a snapshot — the buffered
+// reader and the file loader (mmap on platforms that have it, the
+// aligned-buffer fallback under the nommap tag) — yields a network that
+// answers searches byte-identically to the freshly-built one, and the
+// structural invariants (counts, attrs, locations, G-tree presence) survive
+// exactly.
 func TestSnapshotRoundTrip(t *testing.T) {
 	net, q, k, tt := snapshotNetwork(t)
 
-	var v1, v2 bytes.Buffer
-	if err := writeSnapshotV1(&v1, net); err != nil {
-		t.Fatal(err)
-	}
+	var v2 bytes.Buffer
 	if err := WriteSnapshot(&v2, net); err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +85,6 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		name string
 		load func() (*mac.Network, error)
 	}{
-		{"v1-buffered", func() (*mac.Network, error) { return ReadSnapshot(bytes.NewReader(v1.Bytes())) }},
 		{"v2-buffered", func() (*mac.Network, error) { return ReadSnapshot(bytes.NewReader(v2.Bytes())) }},
 		{"v2-file", func() (*mac.Network, error) { return ReadSnapshotFile(path) }},
 	}
@@ -178,39 +175,40 @@ func TestSnapshotCorruption(t *testing.T) {
 }
 
 // TestSnapshotHostileHeader: a snapshot whose checksum is valid (the
-// attacker computes it over their own payload) but whose headers declare
-// absurd element counts is rejected by the remaining-bytes bounds before
-// any count-sized allocation happens — a kilobyte body must not demand
-// terabytes.
+// attacker computes it over their own payload) but whose social header
+// declares absurd element counts is rejected by the remaining-bytes bounds
+// before any count-sized allocation happens — a kilobyte body must not
+// demand terabytes.
 func TestSnapshotHostileHeader(t *testing.T) {
-	craft := func(payload []byte) []byte {
-		var buf bytes.Buffer
-		var header [20]byte
-		copy(header[:8], snapshotMagic)
-		binary.LittleEndian.PutUint64(header[8:16], uint64(len(payload)))
-		binary.LittleEndian.PutUint32(header[16:20], crc32.ChecksumIEEE(payload))
-		buf.Write(header[:])
-		buf.Write(payload)
-		return buf.Bytes()
-	}
-	// Social header claiming 2^40 vertices in a 3-byte payload.
+	img := v2Image(t)
+	// The writer emits the social section first; overwrite its header with
+	// one claiming 2^40 vertices.
+	off := binary.LittleEndian.Uint64(img[v2HeaderLen+8 : v2HeaderLen+16])
 	var huge bytes.Buffer
 	putUvarint(&huge, 1<<40) // n
 	putUvarint(&huge, 3)     // d
 	putUvarint(&huge, 0)     // m
-	if _, err := ReadSnapshot(bytes.NewReader(craft(huge.Bytes()))); err == nil {
-		t.Fatal("hostile vertex count was accepted")
+	copy(img[off:], huge.Bytes())
+	fixCRC(img)
+	_, err := ReadSnapshot(bytes.NewReader(img))
+	if err == nil || !strings.Contains(err.Error(), "social header") {
+		t.Fatalf("hostile vertex count: err = %v, want the social header bound", err)
 	}
-	// Plausible tiny social graph, then a road graph claiming 2^40 vertices.
-	var road40 bytes.Buffer
-	putUvarint(&road40, 1) // n=1
-	putUvarint(&road40, 1) // d=1
-	putUvarint(&road40, 0) // m=0
-	var attr [8]byte
-	road40.Write(attr[:])  // one attribute row
-	putUvarint(&road40, 0) // no labels
-	putUvarint(&road40, 1<<40)
-	if _, err := ReadSnapshot(bytes.NewReader(craft(road40.Bytes()))); err == nil {
-		t.Fatal("hostile road vertex count was accepted")
+}
+
+// TestSnapshotV1Rejected: RSNAPv1 images are no longer read; one fails with
+// the unsupported-version error on both loaders.
+func TestSnapshotV1Rejected(t *testing.T) {
+	img := append([]byte("RSNAPv1\n"), make([]byte, 12)...)
+	const want = "not a snapshot (or unsupported version)"
+	if _, err := ReadSnapshot(bytes.NewReader(img)); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("buffered v1 load: err = %v, want %q", err, want)
+	}
+	path := filepath.Join(t.TempDir(), "v1.snap")
+	if err := os.WriteFile(path, img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadSnapshotFile(path); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("file v1 load: err = %v, want %q", err, want)
 	}
 }

@@ -28,7 +28,7 @@ import (
 //	        zero-padded up to the next section
 //
 // Variable-width content (the social graph, locations, G-tree topology)
-// keeps the v1 varint codec inside opaque byte sections; only the big flat
+// keeps a varint codec inside opaque byte sections; only the big flat
 // arrays get the raw-slab treatment — they are where the decode time and
 // the allocations were.
 
@@ -40,8 +40,8 @@ const snapshotMagicV2 = "RSNAPv2\n"
 // mutation version; kinds outside this set are rejected (the format is
 // versioned by magic, not by optional sections).
 const (
-	secSocial  = 1 // social graph, v1 varint codec (opaque bytes)
-	secLocs    = 2 // user locations, v1 varint codec (opaque bytes)
+	secSocial  = 1 // social graph, varint codec (opaque bytes)
+	secLocs    = 2 // user locations, varint codec (opaque bytes)
 	secRoadOff = 3 // road CSR offsets, int64[n+1]
 	secRoadNbr = 4 // road CSR neighbor slab, int32[2m]
 	secRoadWgt = 5 // road CSR weight slab, float64[2m]
@@ -286,8 +286,8 @@ func writeSnapshotV2(w io.Writer, net *mac.Network, version uint64) error {
 // the caller consumed the 8 magic bytes; the rest is read — CopyN into a
 // growing buffer, so a crafted size field costs bytes actually sent — then
 // copied once into an 8-aligned buffer and loaded in place. Zero-copy in
-// the mmap sense is reserved for ReadSnapshotFile; here the single aligned
-// copy replaces all of v1's per-element decoding and allocation.
+// the mmap sense is reserved for ReadSnapshotFile; here a single aligned
+// copy stands in for per-element decoding and allocation.
 func readSnapshotV2(r io.Reader, maxBytes int64) (*mac.Network, uint64, error) {
 	var rest [16]byte
 	if _, err := io.ReadFull(r, rest[:]); err != nil {

@@ -156,14 +156,10 @@ func TestSnapshotV2GTreeSlabConsistency(t *testing.T) {
 // produce an invalid network.
 func FuzzReadSnapshot(f *testing.F) {
 	net, _, _, _ := snapshotNetwork(f)
-	var v1, v2 bytes.Buffer
-	if err := writeSnapshotV1(&v1, net); err != nil {
-		f.Fatal(err)
-	}
+	var v2 bytes.Buffer
 	if err := WriteSnapshot(&v2, net); err != nil {
 		f.Fatal(err)
 	}
-	f.Add(v1.Bytes())
 	f.Add(v2.Bytes())
 	truncated := v2.Bytes()[:v2.Len()/2]
 	f.Add(truncated)
@@ -175,9 +171,20 @@ func FuzzReadSnapshot(f *testing.F) {
 	binary.LittleEndian.PutUint64(misaligned[v2HeaderLen+8:v2HeaderLen+16], off+4)
 	fixCRC(misaligned)
 	f.Add(misaligned)
-	f.Add([]byte(snapshotMagic))
 	f.Add([]byte(snapshotMagicV2))
 	f.Add([]byte{})
+	// The optional sections: a version stamp present, the G-tree absent.
+	var stamped, plain bytes.Buffer
+	if err := WriteSnapshotVersion(&stamped, net, 9); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(stamped.Bytes())
+	bare := *net
+	bare.Oracle = nil
+	if err := WriteSnapshot(&plain, &bare); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(plain.Bytes())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		net, err := ReadSnapshotLimit(bytes.NewReader(data), 1<<22)

@@ -9,9 +9,8 @@ import (
 )
 
 // TestSnapshotVersionStamp proves the RSNAPv2 version stamp round-trips
-// through both the buffered and the file loaders, that unstamped files
-// (version 0) stay byte-identical to pre-stamp writers, and that v1 files
-// always report version 0.
+// through both the buffered and the file loaders, and that unstamped files
+// (version 0) stay byte-identical to pre-stamp writers.
 func TestSnapshotVersionStamp(t *testing.T) {
 	net, _, _, _ := snapshotNetwork(t)
 
@@ -49,14 +48,6 @@ func TestSnapshotVersionStamp(t *testing.T) {
 	}
 	if got.Social.N() != net.Social.N() || got.Social.M() != net.Social.M() {
 		t.Fatalf("stamped snapshot corrupted the network")
-	}
-
-	var v1 bytes.Buffer
-	if err := writeSnapshotV1(&v1, net); err != nil {
-		t.Fatal(err)
-	}
-	if _, v, err := ReadSnapshotLimitVersion(bytes.NewReader(v1.Bytes()), DefaultMaxSnapshotBytes); err != nil || v != 0 {
-		t.Fatalf("v1 load: version=%d err=%v, want 0/nil", v, err)
 	}
 
 	// A malformed stamp (wrong length) must be rejected, not misread.

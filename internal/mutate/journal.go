@@ -2,24 +2,19 @@ package mutate
 
 import (
 	"encoding/binary"
-	"fmt"
-	"hash/crc32"
 	"math"
-	"os"
-	"path/filepath"
-	"sync"
+
+	"roadsocial/internal/durable"
 )
 
-// Journal is a per-dataset append-only mutation log (WAL). Its on-disk form
-// follows the repo's RSNAPv2 conventions — uvarint lengths, little-endian
-// fixed-width words, CRC-32 (IEEE) integrity — and its open path follows the
-// shard job-journal fold/compact pattern: read everything, drop obsolete and
-// torn records, rewrite compacted via temp+rename, reopen for append.
+// Journal is a per-dataset append-only mutation log (WAL): a durable.Log
+// whose records are journaled ops. Its open path compacts: read everything,
+// drop obsolete and torn records, rewrite, reopen for append.
 //
 // Layout:
 //
 //	magic "RMUTJv1\n" (8 bytes)
-//	record*: uvarint payloadLen | payload | crc32(payload) LE32
+//	record*: durable frames (uvarint payloadLen | payload | crc32(payload) LE32)
 //	payload: uvarint version | kind byte | kind-specific fields
 //	  InsertEdge/DeleteEdge: uvarint u | uvarint v
 //	  SetAttrs:              uvarint u | uvarint dim | dim × float64 LE
@@ -29,11 +24,7 @@ import (
 // A record is durable once Append returns: appends are fsynced. A torn tail
 // (partial last record after a crash) is detected by length/CRC and dropped
 // at the next open; everything before it replays.
-type Journal struct {
-	mu   sync.Mutex
-	f    *os.File
-	path string
-}
+type Journal struct{ log *durable.Log }
 
 // Record is one journaled mutation with the dataset version it produced.
 type Record struct {
@@ -43,132 +34,53 @@ type Record struct {
 
 const journalMagic = "RMUTJv1\n"
 
-// maxJournalPayload bounds a single record payload; larger length prefixes
-// are treated as corruption rather than allocated.
-const maxJournalPayload = 1 << 24
-
 // OpenJournal opens (creating if absent) the mutation journal at path,
 // returning the journal ready for appends and the records that must replay
 // on top of a base snapshot at version base — i.e. records with
 // Version > base, in order. Obsolete records and any torn tail are dropped
-// from disk by rewriting the compacted journal via temp+rename.
+// from disk by rewriting the compacted journal.
 func OpenJournal(path string, base uint64) (*Journal, []Record, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil && !os.IsNotExist(err) {
-		return nil, nil, fmt.Errorf("mutate: read journal: %w", err)
+	payloads, err := durable.Read(path, journalMagic)
+	if err != nil {
+		return nil, nil, err
 	}
 	var recs []Record
-	if len(raw) > 0 {
-		if len(raw) < len(journalMagic) || string(raw[:len(journalMagic)]) != journalMagic {
-			return nil, nil, fmt.Errorf("mutate: %s: bad journal magic", path)
+	var live [][]byte
+	for _, p := range payloads {
+		r, ok := decodePayload(p)
+		if !ok {
+			break
 		}
-		recs = parseRecords(raw[len(journalMagic):], base)
+		if r.Version > base {
+			recs = append(recs, r)
+			live = append(live, p)
+		}
 	}
-
-	// Compact: rewrite only the live records, then swap into place. This
-	// both drops torn tails and prunes records already folded into the
-	// snapshot the caller restored from.
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return nil, nil, fmt.Errorf("mutate: journal dir: %w", err)
-	}
-	tmp := path + ".tmp"
-	buf := make([]byte, 0, 64*len(recs)+len(journalMagic))
-	buf = append(buf, journalMagic...)
-	for _, r := range recs {
-		buf = appendRecord(buf, r)
-	}
-	// The rewrite must be crash-durable BEFORE the rename makes it the
-	// journal: rename is only atomic for directory entries, so renaming a
-	// temp file whose data blocks are still in the page cache can leave an
-	// empty or partial journal after a crash — losing records Append had
-	// already fsynced. Hence: write temp, fsync temp, close, rename, fsync
-	// the directory (the rename itself must survive the crash too).
-	tf, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	log, err := durable.Rewrite(path, journalMagic, live)
 	if err != nil {
-		return nil, nil, fmt.Errorf("mutate: compact journal: %w", err)
+		return nil, nil, err
 	}
-	if _, err := tf.Write(buf); err != nil {
-		tf.Close()
-		return nil, nil, fmt.Errorf("mutate: compact journal: %w", err)
-	}
-	if err := tf.Sync(); err != nil {
-		tf.Close()
-		return nil, nil, fmt.Errorf("mutate: sync compacted journal: %w", err)
-	}
-	if err := tf.Close(); err != nil {
-		return nil, nil, fmt.Errorf("mutate: close compacted journal: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return nil, nil, fmt.Errorf("mutate: install journal: %w", err)
-	}
-	if err := syncDir(filepath.Dir(path)); err != nil {
-		return nil, nil, fmt.Errorf("mutate: sync journal dir: %w", err)
-	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, nil, fmt.Errorf("mutate: open journal: %w", err)
-	}
-	return &Journal{f: f, path: path}, recs, nil
+	return &Journal{log: log}, recs, nil
 }
 
-// syncDir fsyncs a directory so a just-renamed entry in it survives a crash.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
-}
-
-// Append journals recs and fsyncs once. On error the journal may hold a
-// torn tail; the next OpenJournal drops it, so callers must treat a failed
-// append as "nothing durable" and not install the mutation.
+// Append journals recs and fsyncs once. On error nothing of recs is
+// durable, so callers must not install the mutation.
 func (j *Journal) Append(recs []Record) error {
-	buf := make([]byte, 0, 64*len(recs))
-	for _, r := range recs {
-		buf = appendRecord(buf, r)
+	payloads := make([][]byte, len(recs))
+	for i, r := range recs {
+		payloads[i] = encodePayload(r)
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.f == nil {
-		return fmt.Errorf("mutate: journal %s is closed", j.path)
-	}
-	if _, err := j.f.Write(buf); err != nil {
-		return fmt.Errorf("mutate: append journal: %w", err)
-	}
-	if err := j.f.Sync(); err != nil {
-		return fmt.Errorf("mutate: fsync journal: %w", err)
-	}
-	return nil
+	return j.log.Append(payloads...)
 }
 
 // Close closes the journal file. Further appends fail.
-func (j *Journal) Close() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.f == nil {
-		return nil
-	}
-	err := j.f.Close()
-	j.f = nil
-	return err
-}
+func (j *Journal) Close() error { return j.log.Close() }
 
 // Remove closes the journal and deletes it from disk (dataset removal).
-func (j *Journal) Remove() error {
-	err := j.Close()
-	if rmErr := os.Remove(j.path); rmErr != nil && !os.IsNotExist(rmErr) && err == nil {
-		err = rmErr
-	}
-	return err
-}
+func (j *Journal) Remove() error { return j.log.Remove() }
 
-// Path returns the on-disk path of the journal.
-func (j *Journal) Path() string { return j.path }
-
-// appendRecord serializes one record onto buf.
-func appendRecord(buf []byte, r Record) []byte {
+// encodePayload serializes one record.
+func encodePayload(r Record) []byte {
 	payload := make([]byte, 0, 48)
 	payload = binary.AppendUvarint(payload, r.Version)
 	payload = append(payload, byte(r.Op.Kind))
@@ -194,36 +106,7 @@ func appendRecord(buf []byte, r Record) []byte {
 			payload = binary.AppendUvarint(payload, uint64(uint32(r.Op.Loc.U)))
 		}
 	}
-	buf = binary.AppendUvarint(buf, uint64(len(payload)))
-	buf = append(buf, payload...)
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(payload))
-	return buf
-}
-
-// parseRecords decodes records from b, stopping silently at the first torn
-// or corrupt record (crash tail), and keeps those with version > base.
-func parseRecords(b []byte, base uint64) []Record {
-	var recs []Record
-	for len(b) > 0 {
-		plen, n := binary.Uvarint(b)
-		if n <= 0 || plen > maxJournalPayload || uint64(len(b)-n) < plen+4 {
-			break
-		}
-		payload := b[n : n+int(plen)]
-		crc := binary.LittleEndian.Uint32(b[n+int(plen):])
-		if crc32.ChecksumIEEE(payload) != crc {
-			break
-		}
-		r, ok := decodePayload(payload)
-		if !ok {
-			break
-		}
-		b = b[n+int(plen)+4:]
-		if r.Version > base {
-			recs = append(recs, r)
-		}
-	}
-	return recs
+	return payload
 }
 
 // decodePayload decodes one record payload.

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"testing"
 
+	"roadsocial/internal/durable"
 	"roadsocial/internal/mac"
 	"roadsocial/internal/road"
 	"roadsocial/internal/social"
@@ -311,7 +312,7 @@ func socialEqual(a, b *social.Graph) bool {
 func FuzzReplayJournal(f *testing.F) {
 	seedBuf := []byte(journalMagic)
 	for _, r := range sampleRecords() {
-		seedBuf = appendRecord(seedBuf, r)
+		seedBuf = durable.AppendFrame(seedBuf, encodePayload(r))
 	}
 	f.Add(seedBuf)
 	f.Add([]byte(journalMagic))

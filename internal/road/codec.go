@@ -8,66 +8,17 @@ import (
 	"math"
 )
 
-// Binary codec for the road substrate: the graph and the built G-tree
-// index. The encoding is little-endian with uvarint framing and raw IEEE-754
-// bits for every float, so a decoded index is bit-identical to the encoded
-// one — range queries against a snapshot-loaded G-tree return exactly what
-// the freshly-built index would. The dataset package wraps these into the
-// versioned, checksummed network snapshot; this file only knows how to
-// serialize the road types whose fields are private to this package.
+// Binary codec for user locations on the road graph, used by the snapshot's
+// location section. The encoding is little-endian with uvarint framing and
+// raw IEEE-754 bits for every float, so a decoded location is bit-identical
+// to the encoded one. The dataset package wraps it into the versioned,
+// checksummed network snapshot.
 
 // byteWriter is the writer contract of the codec; bytes.Buffer and
 // bufio.Writer both satisfy it.
 type byteWriter interface {
 	io.Writer
 	io.ByteWriter
-}
-
-// EncodeGraph writes the graph: vertex count, edge count, then every
-// undirected edge (u, v, w) in the canonical Edges order.
-func EncodeGraph(w byteWriter, g *Graph) error {
-	putUvarint(w, uint64(g.N()))
-	putUvarint(w, uint64(g.M()))
-	var err error
-	g.Edges(func(u, v int, wgt float64) {
-		if err != nil {
-			return
-		}
-		putUvarint(w, uint64(u))
-		putUvarint(w, uint64(v))
-		err = putFloat(w, wgt)
-	})
-	return err
-}
-
-// DecodeGraph reads a graph written by EncodeGraph. Decoding takes a
-// *bytes.Reader so every declared count can be validated against the bytes
-// actually present before anything is allocated: snapshot payloads arrive
-// from the network, and a crafted header must not be able to demand a
-// multi-terabyte allocation out of a kilobyte body.
-func DecodeGraph(r *bytes.Reader) (*Graph, error) {
-	n, err := getCount(r, "road: vertex count")
-	if err != nil {
-		return nil, err
-	}
-	m, err := getCount(r, "road: edge count")
-	if err != nil {
-		return nil, err
-	}
-	g := NewGraph(int(n))
-	for i := uint64(0); i < m; i++ {
-		u, err1 := getUvarint(r)
-		v, err2 := getUvarint(r)
-		wgt, err3 := getFloat(r)
-		if err1 != nil || err2 != nil || err3 != nil {
-			return nil, fmt.Errorf("road: graph edge %d truncated", i)
-		}
-		if err := g.AddEdge(int(u), int(v), wgt); err != nil {
-			return nil, err
-		}
-	}
-	g.Freeze()
-	return g, nil
 }
 
 // EncodeLocation writes one user location: a vertex id for on-vertex
@@ -118,98 +69,6 @@ func DecodeLocation(r *bytes.Reader, g *Graph) (Location, error) {
 	}
 }
 
-// EncodeGTree writes the built index: the per-vertex leaf table and every
-// node with its topology, borders, and distance matrices. The graph itself
-// is not included — the index is meaningless without it, and the network
-// snapshot encodes the graph separately.
-func EncodeGTree(w byteWriter, t *GTree) error {
-	putUvarint(w, uint64(len(t.leaf)))
-	for _, id := range t.leaf {
-		putUvarint(w, uint64(id))
-	}
-	putUvarint(w, uint64(len(t.nodes)))
-	for i := range t.nodes {
-		n := &t.nodes[i]
-		// parent is -1 for the root; shift by one to stay unsigned.
-		putUvarint(w, uint64(n.parent+1))
-		if err := putI32s(w, n.children); err != nil {
-			return err
-		}
-		if err := putI32s(w, n.vertices); err != nil {
-			return err
-		}
-		if err := putI32s(w, n.borders); err != nil {
-			return err
-		}
-		if err := putMatrix(w, n.distLeaf, len(n.borders), len(n.vertices)); err != nil {
-			return err
-		}
-		if err := putI32s(w, n.unionBorders); err != nil {
-			return err
-		}
-		if err := putMatrix(w, n.mat, len(n.unionBorders), len(n.unionBorders)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// DecodeGTree reads an index written by EncodeGTree and binds it to g, which
-// must be the graph the index was built over (the leaf table length is
-// checked against it). Derived state — the unionBorders index maps and the
-// scratch pool — is rebuilt, everything else round-trips bit-exact.
-func DecodeGTree(r *bytes.Reader, g *Graph) (*GTree, error) {
-	nLeaf, err := getCount(r, "road: gtree leaf table")
-	if err != nil {
-		return nil, err
-	}
-	if nLeaf != uint64(g.N()) {
-		return nil, fmt.Errorf("road: gtree leaf table covers %d vertices, graph has %d", nLeaf, g.N())
-	}
-	t := &GTree{g: g, leaf: make([]int32, nLeaf)}
-	for i := range t.leaf {
-		v, err := getUvarint(r)
-		if err != nil {
-			return nil, err
-		}
-		t.leaf[i] = int32(v)
-	}
-	nNodes, err := getCount(r, "road: gtree node count")
-	if err != nil {
-		return nil, err
-	}
-	t.nodes = make([]gtNode, nNodes)
-	for i := range t.nodes {
-		n := &t.nodes[i]
-		parent, err := getUvarint(r)
-		if err != nil {
-			return nil, fmt.Errorf("road: gtree node %d: %w", i, err)
-		}
-		n.parent = int32(parent) - 1
-		if n.children, err = getI32s(r); err != nil {
-			return nil, fmt.Errorf("road: gtree node %d children: %w", i, err)
-		}
-		if n.vertices, err = getI32s(r); err != nil {
-			return nil, fmt.Errorf("road: gtree node %d vertices: %w", i, err)
-		}
-		if n.borders, err = getI32s(r); err != nil {
-			return nil, fmt.Errorf("road: gtree node %d borders: %w", i, err)
-		}
-		if n.distLeaf, err = getMatrix(r, len(n.borders), len(n.vertices)); err != nil {
-			return nil, fmt.Errorf("road: gtree node %d leaf matrix: %w", i, err)
-		}
-		if n.unionBorders, err = getI32s(r); err != nil {
-			return nil, fmt.Errorf("road: gtree node %d union borders: %w", i, err)
-		}
-		if n.mat, err = getMatrix(r, len(n.unionBorders), len(n.unionBorders)); err != nil {
-			return nil, fmt.Errorf("road: gtree node %d matrix: %w", i, err)
-		}
-		n.buildUBIndex()
-	}
-	t.initScratch()
-	return t, nil
-}
-
 // --- primitives ---
 
 func putUvarint(w io.ByteWriter, v uint64) {
@@ -222,21 +81,6 @@ func putUvarint(w io.ByteWriter, v uint64) {
 
 func getUvarint(r io.ByteReader) (uint64, error) {
 	return binary.ReadUvarint(r)
-}
-
-// getCount reads an element count and bounds it by the bytes remaining in
-// the payload: every encoded element costs at least one byte, so a count
-// beyond r.Len() is corrupt (or hostile) and is rejected before any
-// count-sized allocation happens.
-func getCount(r *bytes.Reader, what string) (uint64, error) {
-	v, err := binary.ReadUvarint(r)
-	if err != nil {
-		return 0, fmt.Errorf("%s: %w", what, err)
-	}
-	if v > uint64(r.Len()) {
-		return 0, fmt.Errorf("%s: %d elements exceed the %d remaining payload bytes", what, v, r.Len())
-	}
-	return v, nil
 }
 
 func putFloat(w io.Writer, v float64) error {
@@ -256,89 +100,4 @@ func getFloat(r io.ByteReader) (float64, error) {
 		buf[i] = b
 	}
 	return math.Float64frombits(binary.LittleEndian.Uint64(buf[:])), nil
-}
-
-func putI32s(w byteWriter, vs []int32) error {
-	putUvarint(w, uint64(len(vs)))
-	for _, v := range vs {
-		putUvarint(w, uint64(uint32(v)))
-	}
-	return nil
-}
-
-func getI32s(r *bytes.Reader) ([]int32, error) {
-	n, err := getCount(r, "road: list length")
-	if err != nil {
-		return nil, err
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	out := make([]int32, n)
-	for i := range out {
-		v, err := getUvarint(r)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = int32(uint32(v))
-	}
-	return out, nil
-}
-
-// putMatrix writes a flat row-major rows×cols matrix in the legacy framed
-// form: row count, then per row its length and raw floats. An empty slab
-// (internal nodes have no distLeaf, leaves no mat) encodes as zero rows, so
-// the bytes are identical to what the slice-of-slices layout produced.
-func putMatrix(w byteWriter, m []float64, rows, cols int) error {
-	if len(m) == 0 {
-		putUvarint(w, 0)
-		return nil
-	}
-	putUvarint(w, uint64(rows))
-	for i := 0; i < rows; i++ {
-		putUvarint(w, uint64(cols))
-		for _, v := range m[i*cols : (i+1)*cols] {
-			if err := putFloat(w, v); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// getMatrix reads a framed matrix into one flat rows×cols slab. Well-formed
-// encodings always carry either zero rows or exactly rows rows of cols
-// floats each (the dimensions are implied by the node's border and vertex
-// lists, decoded just before); anything else is corrupt and rejected.
-func getMatrix(r *bytes.Reader, rows, cols int) ([]float64, error) {
-	n, err := getCount(r, "road: matrix rows")
-	if err != nil {
-		return nil, err
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	if n != uint64(rows) {
-		return nil, fmt.Errorf("road: matrix has %d rows, expected %d", n, rows)
-	}
-	if uint64(rows)*uint64(cols) > uint64(r.Len())/8 {
-		return nil, fmt.Errorf("road: %dx%d matrix exceeds the %d remaining payload bytes", rows, cols, r.Len())
-	}
-	out := make([]float64, rows*cols)
-	for i := 0; i < rows; i++ {
-		l, err := getCount(r, "road: matrix row length")
-		if err != nil {
-			return nil, err
-		}
-		if l != uint64(cols) {
-			return nil, fmt.Errorf("road: matrix row of %d floats, expected %d", l, cols)
-		}
-		row := out[i*cols : (i+1)*cols]
-		for j := range row {
-			if row[j], err = getFloat(r); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return out, nil
 }

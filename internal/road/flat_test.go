@@ -1,15 +1,15 @@
 package road
 
 import (
-	"bytes"
 	"math/rand"
 	"testing"
 )
 
-// TestGTreeCodecRoundTrip: an encoded+decoded G-tree answers range queries
-// bit-identically to the original — same distances, same pruning — because
-// every border matrix round-trips as raw float bits.
-func TestGTreeCodecRoundTrip(t *testing.T) {
+// TestGTreeFlatRoundTrip: a G-tree flattened to the snapshot's arrays and
+// rebuilt over them answers range queries bit-identically to the original
+// — same distances, same pruning — because every border matrix travels as
+// raw float bits.
+func TestGTreeFlatRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	g := NewGraph(200)
 	// Random connected-ish graph: a ring plus chords.
@@ -31,28 +31,9 @@ func TestGTreeCodecRoundTrip(t *testing.T) {
 		}
 	}
 	gt := BuildGTree(g, 16)
-
-	var buf bytes.Buffer
-	if err := EncodeGraph(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	if err := EncodeGTree(&buf, gt); err != nil {
-		t.Fatal(err)
-	}
-	br := bytes.NewReader(buf.Bytes())
-	g2, err := DecodeGraph(br)
+	gt2, err := GTreeFromFlat(g, FlattenGTree(gt))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if g2.N() != g.N() || g2.M() != g.M() {
-		t.Fatalf("graph mismatch: %d/%d vs %d/%d", g2.N(), g2.M(), g.N(), g.M())
-	}
-	gt2, err := DecodeGTree(br, g2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if br.Len() != 0 {
-		t.Fatalf("%d trailing bytes after decode", br.Len())
 	}
 
 	queries := []Location{VertexLocation(3), VertexLocation(77)}
@@ -77,9 +58,9 @@ func TestGTreeCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDecodeGTreeWrongGraph: binding an index to a graph of a different
+// TestGTreeFromFlatWrongGraph: binding an index to a graph of a different
 // size is refused instead of corrupting queries.
-func TestDecodeGTreeWrongGraph(t *testing.T) {
+func TestGTreeFromFlatWrongGraph(t *testing.T) {
 	g := NewGraph(10)
 	for i := 0; i < 9; i++ {
 		if err := g.AddEdge(i, i+1, 1); err != nil {
@@ -87,11 +68,7 @@ func TestDecodeGTreeWrongGraph(t *testing.T) {
 		}
 	}
 	gt := BuildGTree(g, 4)
-	var buf bytes.Buffer
-	if err := EncodeGTree(&buf, gt); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := DecodeGTree(bytes.NewReader(buf.Bytes()), NewGraph(11)); err == nil {
+	if _, err := GTreeFromFlat(NewGraph(11), FlattenGTree(gt)); err == nil {
 		t.Fatal("index bound to a mismatched graph")
 	}
 }

@@ -96,7 +96,7 @@ func (t *GTree) putScratch(sc *gtScratch) {
 }
 
 // initScratch installs the pool constructor; every GTree constructor
-// (build, legacy decode, flat snapshot load) funnels through it.
+// (build, flat snapshot load) funnels through it.
 func (t *GTree) initScratch() {
 	n := t.g.N()
 	t.scratch.New = func() any {

@@ -117,7 +117,7 @@ type Config struct {
 	// durability — mutations still apply, but do not survive a restart.
 	MutationLogDir string
 	// StandingDir is where standing-query registrations persist (one
-	// JSON-lines sidecar per dataset, next to its mutation journal); empty
+	// sidecar log per dataset, next to its mutation journal); empty
 	// selects MutationLogDir. Registrations survive restarts only when a
 	// directory is configured through either field.
 	StandingDir string

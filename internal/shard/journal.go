@@ -5,11 +5,11 @@ package shard
 // Replicate and move jobs mutate cluster state across multiple shards over
 // seconds to minutes; a router that restarts mid-job must not simply forget
 // it — a move could be left half-cut-over, a replica set half-populated, and
-// nothing would ever finish the work. The journal is an append-only file of
-// JSON lines next to the assignments file: a "started" line is written
-// before a job is enqueued, a terminal "done"/"failed" line when it settles.
-// On startup (EnableJobJournal) the lines fold by job id; every id whose
-// latest state is "started" is recovered:
+// nothing would ever finish the work. The journal is a durable.Log of
+// JSON-encoded entries next to the assignments file: a "started" entry is
+// written before a job is enqueued, a terminal "done"/"failed" entry when it
+// settles. On startup (EnableJobJournal) the entries fold by job id; every
+// id whose latest state is "started" is recovered:
 //
 //   - replicate: re-submitted whole under the same id. Replication is
 //     idempotent over immutable datasets, so re-running from the top is
@@ -27,19 +27,19 @@ package shard
 // history.
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log/slog"
 	"net/http"
-	"os"
-	"path/filepath"
-	"sync"
 	"time"
 
 	"roadsocial/client"
+	"roadsocial/internal/durable"
 	"roadsocial/internal/service"
 )
+
+const jobJournalMagic = "RJOBJv1\n"
 
 // Journal entry states.
 const (
@@ -48,9 +48,9 @@ const (
 	journalFailed  = "failed"
 )
 
-// journalEntry is one journal line. A "started" line carries the job's full
-// description; terminal lines need only the id and outcome (the fold keeps
-// the description from the start line).
+// journalEntry is one journal record. A "started" entry carries the job's
+// full description; terminal entries need only the id and outcome (the fold
+// keeps the description from the start entry).
 type journalEntry struct {
 	ID      string `json:"id"`
 	Kind    string `json:"kind,omitempty"`
@@ -69,107 +69,79 @@ type journalEntry struct {
 // jobJournal is the append handle. Appends are synchronous and fsynced:
 // control-plane jobs are rare and the whole point is surviving a crash.
 type jobJournal struct {
-	mu sync.Mutex
-	f  *os.File
+	log  *durable.Log
+	path string
 }
 
-// openJobJournal loads the journal at path, folds its lines by job id, and
+// openJobJournal loads the journal at path, folds its entries by job id, and
 // returns the pending (started, never settled) entries in first-seen order
 // alongside a compacted append handle. A missing file is an empty journal; a
-// torn final line (crash mid-append) is skipped.
+// torn final entry (crash mid-append) is dropped.
 func openJobJournal(path string) (*jobJournal, []journalEntry, error) {
+	payloads, err := durable.Read(path, jobJournalMagic)
+	if err != nil {
+		return nil, nil, fmt.Errorf("shard: job journal: %w", err)
+	}
 	byID := make(map[string]journalEntry)
 	var order []string
-	if data, err := os.ReadFile(path); err == nil {
-		for _, line := range bytes.Split(data, []byte("\n")) {
-			line = bytes.TrimSpace(line)
-			if len(line) == 0 {
-				continue
-			}
-			var e journalEntry
-			if json.Unmarshal(line, &e) != nil || e.ID == "" {
-				continue
-			}
-			if prev, seen := byID[e.ID]; seen {
-				// Terminal lines are sparse; keep the start line's fields.
-				if e.Kind == "" {
-					e.Kind = prev.Kind
-				}
-				if e.Dataset == "" {
-					e.Dataset = prev.Dataset
-				}
-				if e.Source == "" {
-					e.Source = prev.Source
-				}
-				if e.Target == "" {
-					e.Target = prev.Target
-				}
-				if len(e.Replicas) == 0 {
-					e.Replicas = prev.Replicas
-				}
-			} else {
-				order = append(order, e.ID)
-			}
-			byID[e.ID] = e
-		}
-	} else if !errors.Is(err, os.ErrNotExist) {
-		return nil, nil, fmt.Errorf("shard: job journal %s: %w", path, err)
-	}
-
-	var pending []journalEntry
-	for _, id := range order {
-		if e := byID[id]; e.State == journalStarted {
-			pending = append(pending, e)
-		}
-	}
-
-	// Compact: rewrite with only the pending entries, atomically.
-	var buf bytes.Buffer
-	for _, e := range pending {
-		line, err := json.Marshal(e)
-		if err != nil {
+	for _, p := range payloads {
+		var e journalEntry
+		if json.Unmarshal(p, &e) != nil || e.ID == "" {
 			continue
 		}
-		buf.Write(line)
-		buf.WriteByte('\n')
+		if prev, seen := byID[e.ID]; seen {
+			// Terminal entries are sparse; keep the start entry's fields.
+			if e.Kind == "" {
+				e.Kind = prev.Kind
+			}
+			if e.Dataset == "" {
+				e.Dataset = prev.Dataset
+			}
+			if e.Source == "" {
+				e.Source = prev.Source
+			}
+			if e.Target == "" {
+				e.Target = prev.Target
+			}
+			if len(e.Replicas) == 0 {
+				e.Replicas = prev.Replicas
+			}
+		} else {
+			order = append(order, e.ID)
+		}
+		byID[e.ID] = e
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".jobs-*")
+
+	// Compact: keep only the pending entries.
+	var pending []journalEntry
+	var live [][]byte
+	for _, id := range order {
+		if e := byID[id]; e.State == journalStarted {
+			p, err := json.Marshal(e)
+			if err != nil {
+				return nil, nil, fmt.Errorf("shard: job journal: %w", err)
+			}
+			pending = append(pending, e)
+			live = append(live, p)
+		}
+	}
+	log, err := durable.Rewrite(path, jobJournalMagic, live)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("shard: job journal: %w", err)
 	}
-	if _, err := tmp.Write(buf.Bytes()); err != nil {
-		tmp.Close()
-		_ = os.Remove(tmp.Name())
-		return nil, nil, err
-	}
-	if err := tmp.Close(); err != nil {
-		_ = os.Remove(tmp.Name())
-		return nil, nil, err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		_ = os.Remove(tmp.Name())
-		return nil, nil, err
-	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, nil, err
-	}
-	return &jobJournal{f: f}, pending, nil
+	return &jobJournal{log: log, path: path}, pending, nil
 }
 
-// append writes one line and syncs it to disk. Failures are swallowed after
-// the fact — a full disk must not fail the job whose progress it records —
-// but the sync keeps the common case durable.
+// append journals one entry. A failure is logged, not returned: a full disk
+// must not fail the job whose progress it records.
 func (j *jobJournal) append(e journalEntry) {
 	e.At = time.Now().UTC()
-	line, err := json.Marshal(e)
-	if err != nil {
-		return
+	p, err := json.Marshal(e)
+	if err == nil {
+		err = j.log.Append(p)
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if _, err := j.f.Write(append(line, '\n')); err == nil {
-		_ = j.f.Sync()
+	if err != nil {
+		slog.Warn("job journal append failed", "path", j.path, "job", e.ID, "state", e.State, "err", err)
 	}
 }
 

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"roadsocial/client"
+	"roadsocial/internal/durable"
 	"roadsocial/internal/mac"
 	"roadsocial/internal/promtest"
 	"roadsocial/internal/road"
@@ -211,9 +212,13 @@ func TestFailoverZeroDowntime(t *testing.T) {
 		}
 		return observed.Load() >= before+20
 	})
-	if rt.failovers.Load() == 0 {
-		t.Fatal("no failovers counted despite a dead primary")
-	}
+	// A failed-over read is counted when the follower's answer lands. Once
+	// the primary is marked down, later reads go straight to the follower,
+	// and fast ones can pass the mark above while a slow failed-over search
+	// is still running, so wait for the count rather than read it at once.
+	waitFor(t, 30*time.Second, "a failover to be counted despite a dead primary", func() bool {
+		return rt.failovers.Load() > 0
+	})
 	// The fault is visible on /metrics: the counter moved, and the scrape
 	// still parses strictly with one shard dark.
 	famsAfter := scrape(t, ts.URL)
@@ -411,14 +416,14 @@ func TestJobJournalResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The replicate job is journaled before it is enqueued, so its start
-	// line is on disk the moment the create answers.
-	data, err := os.ReadFile(journalPath)
-	if err != nil {
-		t.Fatal(err)
+	// record is on disk the moment the create answers.
+	recs, err := durable.Read(journalPath, jobJournalMagic)
+	if err != nil || len(recs) == 0 {
+		t.Fatalf("journal holds %d records (err %v)", len(recs), err)
 	}
 	var started journalEntry
-	if err := json.Unmarshal([]byte(strings.SplitN(strings.TrimSpace(string(data)), "\n", 2)[0]), &started); err != nil {
-		t.Fatalf("journal line: %v (%q)", err, data)
+	if err := json.Unmarshal(recs[0], &started); err != nil {
+		t.Fatalf("journal record: %v (%q)", err, recs[0])
 	}
 	if started.Kind != client.JobKindReplicate || started.Dataset != "resumable" || started.State != journalStarted {
 		t.Fatalf("journaled entry = %+v", started)
@@ -480,7 +485,7 @@ func TestJobJournalResume(t *testing.T) {
 		Source: locals[src].Name(), Target: locals[tgt].Name(),
 		Replicas: []string{locals[tgt].Name()}, State: journalStarted, At: time.Now().UTC(),
 	})
-	if err := os.WriteFile(journalPath, append(moveLine, '\n'), 0o644); err != nil {
+	if err := os.WriteFile(journalPath, durable.AppendFrame([]byte(jobJournalMagic), moveLine), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	rt4, err := NewRouter([]Backend{locals[0], locals[1]}, 0)

@@ -60,7 +60,6 @@ import (
 	"log/slog"
 	"net/http"
 	"os"
-	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
@@ -69,6 +68,7 @@ import (
 	"time"
 
 	"roadsocial/client"
+	"roadsocial/internal/durable"
 	"roadsocial/internal/service"
 )
 
@@ -833,19 +833,16 @@ func (rt *Router) markBackendDown(i int) { rt.down[i].Store(true) }
 // assignmentsFile is the on-disk form of the assignment table: dataset →
 // ordered replica set of backend names, primary first (names survive
 // reordering of the backend slice across restarts; indexes would not).
-// Version 1 files carried a single backend name per dataset; they load as
-// single-member sets.
 type assignmentsFile struct {
-	Version     int                 `json:"version"`
-	Assignments map[string]string   `json:"assignments,omitempty"` // v1
-	Replicas    map[string][]string `json:"replicas,omitempty"`    // v2
+	Version  int                 `json:"version"`
+	Replicas map[string][]string `json:"replicas,omitempty"`
 }
 
 // PersistAssignments enables assignment-table persistence: the file at
 // path (if present) is loaded into the table — entries naming unknown
 // backends are dropped — and every later pin/unpin/move rewrites it
-// atomically (temp file + rename). Call before serving traffic. It returns
-// how many assignments the file contributed.
+// crash-atomically (durable.WriteFile). Call before serving traffic. It
+// returns how many assignments the file contributed.
 func (rt *Router) PersistAssignments(path string) (int, error) {
 	data, err := os.ReadFile(path)
 	loaded := 0
@@ -855,13 +852,7 @@ func (rt *Router) PersistAssignments(path string) (int, error) {
 			return 0, fmt.Errorf("shard: assignments file %s: %w", path, err)
 		}
 		rt.mu.Lock()
-		for ds, name := range af.Assignments { // v1: single owner
-			if idx, ok := rt.byName[name]; ok && idx != rt.ringOwnerIndex(ds) {
-				rt.assign[ds] = []int{idx}
-				loaded++
-			}
-		}
-		for ds, names := range af.Replicas { // v2: ordered replica set
+		for ds, names := range af.Replicas {
 			var set []int
 			for _, name := range names {
 				if idx, ok := rt.byName[name]; ok && !containsInt(set, idx) {
@@ -895,8 +886,8 @@ func containsInt(xs []int, x int) bool {
 }
 
 // saveAssignmentsLocked mirrors the table to disk when persistence is on.
-// Caller holds rt.mu. Write failures are swallowed: routing must not start
-// failing because a disk did, and the next mutation retries.
+// Caller holds rt.mu. Write failures are logged, not returned: routing must
+// not start failing because a disk did, and the next mutation retries.
 func (rt *Router) saveAssignmentsLocked() {
 	if rt.persistPath == "" {
 		return
@@ -910,18 +901,14 @@ func (rt *Router) saveAssignmentsLocked() {
 		af.Replicas[ds] = names
 	}
 	data, err := json.MarshalIndent(af, "", "  ")
-	if err != nil {
-		return
+	if err == nil {
+		err = durable.WriteFile(rt.persistPath, func(w io.Writer) error {
+			_, err := w.Write(data)
+			return err
+		})
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(rt.persistPath), ".assignments-*")
 	if err != nil {
-		return
-	}
-	if _, err := tmp.Write(data); err == nil && tmp.Close() == nil {
-		_ = os.Rename(tmp.Name(), rt.persistPath)
-	} else {
-		tmp.Close()
-		_ = os.Remove(tmp.Name())
+		slog.Warn("assignment table not persisted; the next change retries", "path", rt.persistPath, "err", err)
 	}
 }
 

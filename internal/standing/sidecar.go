@@ -1,21 +1,17 @@
 package standing
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
-	"sync"
 
 	"roadsocial/client"
+	"roadsocial/internal/durable"
 )
 
-// Sidecar persists one dataset's standing-query registrations as a JSON-lines
-// file next to the mutation journal, following the journal's open discipline:
-// read everything, fold records into the live set, drop the torn tail, rewrite
-// the compacted file via temp+fsync+rename+dirsync, reopen for append. Three
-// record kinds:
+// Sidecar persists one dataset's standing-query registrations as a
+// durable.Log of JSON-encoded records next to the mutation journal. Like the
+// journal it compacts on open: read everything, fold records into the live
+// set, drop the torn tail, rewrite, reopen for append. Three record kinds:
 //
 //	{"op":"put","query":{...}}                     register (or restate) a query
 //	{"op":"state","id":...,"version":...,"members":[...],"event_id":...}  last evaluated result
@@ -29,11 +25,9 @@ import (
 // from it, so post-restart events continue the numbering a resuming
 // subscriber's Last-Event-ID cursor was built on instead of restarting at 1
 // (which the SDK would silently drop as already-seen).
-type Sidecar struct {
-	mu   sync.Mutex
-	f    *os.File
-	path string
-}
+type Sidecar struct{ log *durable.Log }
+
+const sidecarMagic = "RSQSCv1\n"
 
 type sidecarRec struct {
 	Op      string                `json:"op"`
@@ -64,70 +58,35 @@ type Restored struct {
 // folded in, in registration order. The on-disk file is compacted to one put
 // record per live query.
 func OpenSidecar(path string) (*Sidecar, []Restored, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil && !os.IsNotExist(err) {
-		return nil, nil, fmt.Errorf("standing: read sidecar: %w", err)
+	payloads, err := durable.Read(path, sidecarMagic)
+	if err != nil {
+		return nil, nil, err
 	}
-	live := foldRecords(raw)
-
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return nil, nil, fmt.Errorf("standing: sidecar dir: %w", err)
-	}
-	var buf bytes.Buffer
-	for _, r := range live {
+	live := foldRecords(payloads)
+	recs := make([][]byte, len(live))
+	for i, r := range live {
 		qq := r.Query
-		line, err := json.Marshal(sidecarRec{Op: "put", Query: &qq, EventID: r.LastEventID})
-		if err != nil {
+		if recs[i], err = json.Marshal(sidecarRec{Op: "put", Query: &qq, EventID: r.LastEventID}); err != nil {
 			return nil, nil, fmt.Errorf("standing: encode sidecar: %w", err)
 		}
-		buf.Write(line)
-		buf.WriteByte('\n')
 	}
-	tmp := path + ".tmp"
-	tf, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	log, err := durable.Rewrite(path, sidecarMagic, recs)
 	if err != nil {
-		return nil, nil, fmt.Errorf("standing: compact sidecar: %w", err)
+		return nil, nil, err
 	}
-	if _, err := tf.Write(buf.Bytes()); err != nil {
-		tf.Close()
-		return nil, nil, fmt.Errorf("standing: compact sidecar: %w", err)
-	}
-	if err := tf.Sync(); err != nil {
-		tf.Close()
-		return nil, nil, fmt.Errorf("standing: sync compacted sidecar: %w", err)
-	}
-	if err := tf.Close(); err != nil {
-		return nil, nil, fmt.Errorf("standing: close compacted sidecar: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return nil, nil, fmt.Errorf("standing: install sidecar: %w", err)
-	}
-	if err := syncDir(filepath.Dir(path)); err != nil {
-		return nil, nil, fmt.Errorf("standing: sync sidecar dir: %w", err)
-	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, nil, fmt.Errorf("standing: open sidecar: %w", err)
-	}
-	return &Sidecar{f: f, path: path}, live, nil
+	return &Sidecar{log: log}, live, nil
 }
 
-// foldRecords replays the JSON lines into the live registration set,
-// stopping at the first torn or corrupt line (crash tail). Event counters
-// only ratchet up: a stray late record can never rewind the seed below an ID
-// a subscriber already acked.
-func foldRecords(raw []byte) []Restored {
+// foldRecords replays the records into the live registration set, stopping
+// at the first one that does not decode. Event counters only ratchet up: a
+// stray late record can never rewind the seed below an ID a subscriber
+// already acked.
+func foldRecords(payloads [][]byte) []Restored {
 	byID := make(map[string]*Restored)
 	var order []string
-	for len(raw) > 0 {
-		nl := bytes.IndexByte(raw, '\n')
-		if nl < 0 {
-			break // torn tail: the last append never finished
-		}
-		line := raw[:nl]
-		raw = raw[nl+1:]
+	for _, p := range payloads {
 		var rec sidecarRec
-		if err := json.Unmarshal(line, &rec); err != nil {
+		if err := json.Unmarshal(p, &rec); err != nil {
 			break
 		}
 		switch rec.Op {
@@ -164,34 +123,12 @@ func foldRecords(raw []byte) []Restored {
 	return out
 }
 
-// syncDir fsyncs a directory so a just-renamed entry in it survives a crash.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
-}
-
 func (s *Sidecar) append(rec sidecarRec) error {
-	line, err := json.Marshal(rec)
+	p, err := json.Marshal(rec)
 	if err != nil {
 		return fmt.Errorf("standing: encode sidecar record: %w", err)
 	}
-	line = append(line, '\n')
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.f == nil {
-		return fmt.Errorf("standing: sidecar %s is closed", s.path)
-	}
-	if _, err := s.f.Write(line); err != nil {
-		return fmt.Errorf("standing: append sidecar: %w", err)
-	}
-	if err := s.f.Sync(); err != nil {
-		return fmt.Errorf("standing: fsync sidecar: %w", err)
-	}
-	return nil
+	return s.log.Append(p)
 }
 
 // AppendPut journals a registration.
@@ -211,25 +148,7 @@ func (s *Sidecar) AppendDelete(id string) error {
 }
 
 // Close closes the sidecar file. Further appends fail.
-func (s *Sidecar) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.f == nil {
-		return nil
-	}
-	err := s.f.Close()
-	s.f = nil
-	return err
-}
+func (s *Sidecar) Close() error { return s.log.Close() }
 
 // Remove closes the sidecar and deletes it from disk (dataset removal).
-func (s *Sidecar) Remove() error {
-	err := s.Close()
-	if rmErr := os.Remove(s.path); rmErr != nil && !os.IsNotExist(rmErr) && err == nil {
-		err = rmErr
-	}
-	return err
-}
-
-// Path returns the on-disk path of the sidecar.
-func (s *Sidecar) Path() string { return s.path }
+func (s *Sidecar) Remove() error { return s.log.Remove() }

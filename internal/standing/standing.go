@@ -1,8 +1,8 @@
 // Package standing implements standing queries: registered MAC queries the
 // server re-evaluates when a relevant mutation batch installs, pushing
 // membership deltas to subscribers over SSE. The package owns the resource
-// registry, its crash-durable sidecar (one JSON-lines file per dataset, next
-// to the mutation journal), the per-query event ring + subscriber hubs, and
+// registry, its crash-durable sidecar (one durable.Log per dataset, next to
+// the mutation journal), the per-query event ring + subscriber hubs, and
 // the coalescing re-evaluation state machine; the service layer supplies the
 // evaluation function (a ktcore pass through the prepared cache) and decides
 // relevance with the same predicate that drives cache invalidation.

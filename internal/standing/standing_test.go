@@ -4,12 +4,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"roadsocial/client"
+	"roadsocial/internal/durable"
 )
 
 func spec(id string, k int) client.StandingQuery {
@@ -51,7 +51,8 @@ func TestSidecarFoldAndCompact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteString(`{"op":"put","query":{"id":"sq-3"`); err != nil {
+	torn := durable.AppendFrame(nil, []byte(`{"op":"put","query":{"id":"sq-3"}}`))
+	if _, err := f.Write(torn[:len(torn)-3]); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
@@ -70,14 +71,13 @@ func TestSidecarFoldAndCompact(t *testing.T) {
 	if live[0].LastEventID != 2 {
 		t.Fatalf("restored last event id = %d, want 2", live[0].LastEventID)
 	}
-	// Compacted: one put line for the lone live query, the torn tail gone.
-	raw, err := os.ReadFile(path)
+	// Compacted: one put record for the lone live query, the torn tail gone.
+	recs, err := durable.Read(path, sidecarMagic)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lines := strings.Count(string(raw), "\n")
-	if lines != 1 {
-		t.Fatalf("compacted sidecar has %d lines, want 1:\n%s", lines, raw)
+	if len(recs) != 1 {
+		t.Fatalf("compacted sidecar has %d records, want 1:\n%q", len(recs), recs)
 	}
 	// The event counter survives the compaction cycle too (restart →
 	// compact → restart) and only ratchets up: a stale low-ID state record
