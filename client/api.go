@@ -24,10 +24,6 @@
 //	POST   /v1/batch                     N heterogeneous requests, one admission
 //	GET    /v1/healthz                   liveness + registered datasets
 //	GET    /v1/stats                     counters, cache, latency histogram
-//
-// POST /v1/search and /v1/ktcore remain as compatibility shims over the
-// dataset-scoped endpoints: they read the dataset from the request body and
-// answer byte-identically to the pre-resource API.
 package client
 
 import (
@@ -158,13 +154,12 @@ type RegionSpec struct {
 	Hi []float64 `json:"hi"`
 }
 
-// SearchRequest is the body of the search and ktcore endpoints. On the
-// dataset-scoped routes the dataset name lives in the URL path; a non-empty
-// Dataset field must then match the path (the legacy /v1/search shim and
-// batch items carry it in the body instead).
+// SearchRequest is the body of the search and ktcore endpoints. The dataset
+// name lives in the URL path; a non-empty Dataset field must then match the
+// path (batch items carry it in the body instead).
 type SearchRequest struct {
-	// Dataset names a registered dataset. Optional on dataset-scoped
-	// routes, required on the legacy shims and in batch items.
+	// Dataset names a registered dataset. Optional on the search and ktcore
+	// routes, required in batch items.
 	Dataset string `json:"dataset,omitempty"`
 	// Q are the query vertices (social ids).
 	Q []int32 `json:"q"`

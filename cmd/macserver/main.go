@@ -68,9 +68,6 @@
 //	curl -s localhost:8080/v1/healthz
 //	curl -s localhost:8080/v1/stats
 //
-// (The body-addressed POST /v1/search and /v1/ktcore remain as
-// compatibility shims.)
-//
 // Repeated requests sharing (dataset, Q, k, t) reuse one prepared state:
 // only the first pays the road-network range query and r-dominance build.
 // When in-flight and queued work exceed the bounds, requests are rejected

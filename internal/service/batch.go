@@ -146,14 +146,7 @@ func (s *Server) runItem(item *BatchItem, cancel <-chan struct{}) BatchItemResul
 		s.recordOutcome(&req, "batch", start, nil, err)
 		return itemError(http.StatusBadRequest, err)
 	}
-	if err := validateRequest(&req); err != nil {
-		s.failed.Add(1)
-		s.recordOutcome(&req, "batch", start, nil, err)
-		return itemError(statusOf(err), err)
-	}
-	// Epoch before network pointer — same discipline as doTimed.
-	epoch := s.cache.epoch(req.Dataset)
-	ds, err := s.network(req.Dataset)
+	ds, epoch, err := s.resolve(&req)
 	if err != nil {
 		s.failed.Add(1)
 		s.recordOutcome(&req, "batch", start, nil, err)

@@ -103,14 +103,10 @@ func (s *Server) CreateDataset(name string, spec *DatasetSpec) (*DatasetInfo, er
 // agnostic core of POST /v1/datasets/{name}?async=1. The name is checked
 // for availability up front so an obviously-conflicting submission fails
 // synchronously with 409 rather than minting a doomed job; the load itself
-// runs on a job worker, polling cancel at its phase boundaries.
-func (s *Server) CreateDatasetAsync(name string, spec *DatasetSpec) (*Job, error) {
-	return s.CreateDatasetAsyncTagged(name, spec, "")
-}
-
-// CreateDatasetAsyncTagged is CreateDatasetAsync plus the submitting
-// request's X-Request-ID, stamped into the job record.
-func (s *Server) CreateDatasetAsyncTagged(name string, spec *DatasetSpec, requestID string) (*Job, error) {
+// runs on a job worker, polling cancel at its phase boundaries. requestID is
+// the submitting request's X-Request-ID ("" for none), stamped into the job
+// record.
+func (s *Server) CreateDatasetAsync(name string, spec *DatasetSpec, requestID string) (*Job, error) {
 	if name == "" {
 		return nil, invalidf("empty dataset name")
 	}
@@ -121,7 +117,7 @@ func (s *Server) CreateDatasetAsyncTagged(name string, spec *DatasetSpec, reques
 		return nil, fmt.Errorf("%w: %q", ErrDatasetExists, name)
 	}
 	specCopy := *spec
-	return s.jobs.SubmitTagged("", JobKindCreate, name, requestID, func(cancel <-chan struct{}, progress func(string)) (*DatasetInfo, error) {
+	return s.jobs.Submit("", JobKindCreate, name, requestID, func(cancel <-chan struct{}, progress func(string)) (*DatasetInfo, error) {
 		progress("loading")
 		if chanClosed(cancel) {
 			return nil, mac.ErrCanceled

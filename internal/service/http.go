@@ -33,6 +33,7 @@ const MaxRequestBody = 1 << 20
 //	DELETE /v1/datasets/{name}/edges    — delete edges (delete-only batch)
 //	GET    /v1/datasets/{name}/snapshot — export the built dataset (octet-stream)
 //	PUT    /v1/datasets/{name}/snapshot — register from uploaded snapshot (201)
+//	GET    /v1/datasets/{name}/hotkeys  — hottest prepared-cache keys
 //	POST   /v1/datasets/{name}/queries  — register a standing query (201, snapshot)
 //	GET    /v1/datasets/{name}/queries  — list standing queries
 //	GET    /v1/datasets/{name}/queries/{id}        — one query, live result
@@ -44,10 +45,7 @@ const MaxRequestBody = 1 << 20
 //	POST   /v1/batch                    — N requests, one admission
 //	GET    /v1/healthz                  — liveness + registered datasets
 //	GET    /v1/stats                    — counters, cache, latency histogram
-//
-//	POST   /v1/search, /v1/ktcore       — legacy shims: dataset read from the
-//	                                      body, answers byte-identical to the
-//	                                      dataset-scoped routes
+//	GET    /metrics                     — Prometheus exposition
 //
 // Saturation maps to 429, an exceeded deadline to 504, validation problems
 // to 400, an unknown dataset or job to 404, a duplicate create to 409, and
@@ -57,10 +55,10 @@ const MaxRequestBody = 1 << 20
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/datasets/{name}/search", func(w http.ResponseWriter, r *http.Request) {
-		s.serveSearch(w, r, r.PathValue("name"), false)
+		s.serveSearch(w, r, false)
 	})
 	mux.HandleFunc("POST /v1/datasets/{name}/ktcore", func(w http.ResponseWriter, r *http.Request) {
-		s.serveSearch(w, r, r.PathValue("name"), true)
+		s.serveSearch(w, r, true)
 	})
 	mux.HandleFunc("POST /v1/datasets/{name}/edges", s.serveMutate)
 	mux.HandleFunc("DELETE /v1/datasets/{name}/edges", s.serveDeleteEdges)
@@ -78,12 +76,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/jobs", s.serveListJobs)
 	mux.HandleFunc("DELETE /v1/jobs/{id}", s.serveCancelJob)
 	mux.HandleFunc("POST /v1/batch", s.serveBatch)
-	mux.HandleFunc("POST /v1/search", func(w http.ResponseWriter, r *http.Request) {
-		s.serveSearch(w, r, "", false)
-	})
-	mux.HandleFunc("POST /v1/ktcore", func(w http.ResponseWriter, r *http.Request) {
-		s.serveSearch(w, r, "", true)
-	})
 	mux.HandleFunc("GET /v1/healthz", s.serveHealthz)
 	mux.HandleFunc("GET /v1/stats", s.serveStats)
 	mux.HandleFunc("GET /metrics", s.serveMetrics)
@@ -114,11 +106,9 @@ func RequireAuth(token string, h http.Handler) http.Handler {
 	})
 }
 
-// serveSearch handles the dataset-scoped search/ktcore routes (dataset from
-// the URL path) and the legacy body-addressed shims (dataset == ""). Both
-// run the same decode → deadline → Do pipeline, so the legacy response
-// stays byte-identical.
-func (s *Server) serveSearch(w http.ResponseWriter, r *http.Request, dataset string, ktCoreOnly bool) {
+// serveSearch handles the search and ktcore routes: decode, then run Do
+// under the request's deadline against the dataset named in the URL path.
+func (s *Server) serveSearch(w http.ResponseWriter, r *http.Request, ktCoreOnly bool) {
 	var req SearchRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxRequestBody))
 	dec.DisallowUnknownFields()
@@ -126,22 +116,21 @@ func (s *Server) serveSearch(w http.ResponseWriter, r *http.Request, dataset str
 		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 		return
 	}
-	if dataset != "" {
-		// The URL names the resource; a body dataset may restate but never
-		// contradict it.
-		if req.Dataset != "" && req.Dataset != dataset {
-			writeError(w, http.StatusBadRequest,
-				fmt.Errorf("body dataset %q contradicts path dataset %q", req.Dataset, dataset))
-			return
-		}
-		req.Dataset = dataset
+	// The URL names the resource; a body dataset may restate but never
+	// contradict it.
+	dataset := r.PathValue("name")
+	if req.Dataset != "" && req.Dataset != dataset {
+		writeError(w, http.StatusBadRequest,
+			fmt.Errorf("body dataset %q contradicts path dataset %q", req.Dataset, dataset))
+		return
 	}
+	req.Dataset = dataset
 	req.KTCoreOnly = ktCoreOnly
 
 	cancel, stop := s.requestCancel(r, req.TimeoutMs)
 	defer stop()
 	start := time.Now()
-	resp, tm, err := s.DoTimed(&req, cancel)
+	resp, tm, err := s.Do(&req, cancel)
 	if err != nil {
 		s.logSlow(r, &req, msSince(start), err)
 		writeServiceError(w, err)
@@ -216,7 +205,7 @@ func (s *Server) serveCreateDataset(w http.ResponseWriter, r *http.Request) {
 	}
 	name := r.PathValue("name")
 	if AsyncRequested(r) {
-		job, err := s.CreateDatasetAsyncTagged(name, &spec, RequestIDFrom(r))
+		job, err := s.CreateDatasetAsync(name, &spec, RequestIDFrom(r))
 		if err != nil {
 			writeServiceError(w, err)
 			return

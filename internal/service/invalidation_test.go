@@ -27,8 +27,8 @@ func canonMembers(ms []int32) string {
 // land in the prepared cache, where the key (dataset, gen, ...) does not
 // include the version and later searches at the new version would be served
 // pre-mutation results. The interleaving is reproduced deterministically by
-// snapshotting epoch+entry as doTimed does and running doAdmitted after the
-// mutation.
+// snapshotting epoch+entry through resolve, as every read does, and running
+// doAdmitted after the mutation.
 func TestStaleAdmissionRaceNotCached(t *testing.T) {
 	net, q, k, tt := testNetwork(t)
 	s := New(Config{})
@@ -39,7 +39,7 @@ func TestStaleAdmissionRaceNotCached(t *testing.T) {
 
 	// Baseline community; pick an intra-community edge whose deletion the
 	// cache must not be allowed to forget.
-	base, err := s.Do(req, nil)
+	base, _, err := s.Do(req, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,16 +63,15 @@ func TestStaleAdmissionRaceNotCached(t *testing.T) {
 		t.Fatal("no intra-community edge to delete")
 	}
 
-	// The stalled search begins: epoch BEFORE entry, exactly as doTimed does.
-	epoch := s.cache.epoch("test")
-	ds, err := s.network("test")
+	// The stalled search begins: resolve snapshots epoch BEFORE entry.
+	ds, epoch, err := s.resolve(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// The mutation lands while the search is stalled. Its invalidate pass
 	// drops the warmed entry and bumps the dataset's invalidation epoch.
-	if _, err := s.Mutate("test", &client.MutateRequest{Deletes: [][2]int32{{mu, mv}}}); err != nil {
+	if _, err := s.Mutate("test", &client.MutateRequest{Deletes: [][2]int32{{mu, mv}}}, ""); err != nil {
 		t.Fatal(err)
 	}
 
@@ -91,7 +90,7 @@ func TestStaleAdmissionRaceNotCached(t *testing.T) {
 
 	// The poisoned build must not have been cached: the next search at the
 	// new version is a miss, rebuilt against the post-mutation network.
-	resp, err := s.Do(req, nil)
+	resp, _, err := s.Do(req, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,10 +106,10 @@ func TestStaleAdmissionRaceNotCached(t *testing.T) {
 	if err := s2.AddDataset("truth", net); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s2.Mutate("truth", &client.MutateRequest{Deletes: [][2]int32{{mu, mv}}}); err != nil {
+	if _, err := s2.Mutate("truth", &client.MutateRequest{Deletes: [][2]int32{{mu, mv}}}, ""); err != nil {
 		t.Fatal(err)
 	}
-	truth, err := s2.Do(&SearchRequest{Dataset: "truth", Q: q, K: k, T: tt, KTCoreOnly: true}, nil)
+	truth, _, err := s2.Do(&SearchRequest{Dataset: "truth", Q: q, K: k, T: tt, KTCoreOnly: true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +131,7 @@ func TestDuplicateCreatePreservesLiveJournal(t *testing.T) {
 		t.Fatal(err)
 	}
 	u, v := freshEdge(t, s1, "test")
-	if _, err := s1.Mutate("test", &client.MutateRequest{Inserts: [][2]int32{{u, v}}}); err != nil {
+	if _, err := s1.Mutate("test", &client.MutateRequest{Inserts: [][2]int32{{u, v}}}, ""); err != nil {
 		t.Fatal(err)
 	}
 	// The doomed duplicate.
@@ -140,7 +139,7 @@ func TestDuplicateCreatePreservesLiveJournal(t *testing.T) {
 		t.Fatalf("duplicate create: err = %v, want ErrDatasetExists", err)
 	}
 	// A mutation after the failed duplicate must still reach durable storage.
-	if _, err := s1.Mutate("test", &client.MutateRequest{Deletes: [][2]int32{{u, v}}}); err != nil {
+	if _, err := s1.Mutate("test", &client.MutateRequest{Deletes: [][2]int32{{u, v}}}, ""); err != nil {
 		t.Fatal(err)
 	}
 
@@ -149,7 +148,7 @@ func TestDuplicateCreatePreservesLiveJournal(t *testing.T) {
 	if err := s2.AddDataset("test", net); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := s2.Do(&SearchRequest{Dataset: "test", Q: q, K: k, T: tt, KTCoreOnly: true}, nil)
+	resp, _, err := s2.Do(&SearchRequest{Dataset: "test", Q: q, K: k, T: tt, KTCoreOnly: true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +204,7 @@ func TestRemoveRecreateJournalRace(t *testing.T) {
 			}
 		}
 		u, v := freshEdge(t, s, "x")
-		if _, err := s.Mutate("x", &client.MutateRequest{Inserts: [][2]int32{{u, v}}}); err != nil {
+		if _, err := s.Mutate("x", &client.MutateRequest{Inserts: [][2]int32{{u, v}}}, ""); err != nil {
 			t.Fatal(err)
 		}
 		r := New(Config{MutationLogDir: dir})

@@ -84,17 +84,10 @@ func NewJobs(workers int) *Jobs {
 	}
 }
 
-// Submit enqueues a job and returns its resource view in state pending (or
-// ErrJobsSaturated when the queue is full). kind and dataset label the job;
-// run is executed by a worker.
-func (m *Jobs) Submit(kind, dataset string, run JobFunc) (*client.Job, error) {
-	return m.SubmitWithID("", kind, dataset, run)
-}
-
 // NewID mints a fresh job id without registering a job. Callers that journal
 // a job durably before enqueueing it (the shard router) reserve the id
-// first, write the journal entry, and then SubmitWithID under the same id —
-// so the journal never names an id the job manager would reassign.
+// first, write the journal entry, and then Submit under the same id — so
+// the journal never names an id the job manager would reassign.
 func (m *Jobs) NewID() string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -102,19 +95,16 @@ func (m *Jobs) NewID() string {
 	return fmt.Sprintf("job-%d", m.seq)
 }
 
-// SubmitWithID is Submit with a caller-chosen id (from NewID, or recovered
-// from a durable journal). An empty id mints one; a duplicate id is an
-// error. Recovered ids of the form "job-N" advance the internal sequence
-// past N, so a restarted server never reissues an id its journal already
-// names.
-func (m *Jobs) SubmitWithID(id, kind, dataset string, run JobFunc) (*client.Job, error) {
-	return m.SubmitTagged(id, kind, dataset, "", run)
-}
-
-// SubmitTagged is SubmitWithID plus the X-Request-ID of the HTTP request
-// that caused the submission, stamped into the job record so a request can
-// be traced from the edge into the control plane.
-func (m *Jobs) SubmitTagged(id, kind, dataset, requestID string, run JobFunc) (*client.Job, error) {
+// Submit enqueues a job and returns its resource view in state pending (or
+// ErrJobsSaturated when the queue is full). kind and dataset label the job;
+// run is executed by a worker. An empty id mints one; a caller-chosen id
+// (from NewID, or recovered from a durable journal) must not be taken.
+// Recovered ids of the form "job-N" advance the internal sequence past N, so
+// a restarted server never reissues an id its journal already names.
+// requestID is the X-Request-ID of the HTTP request that caused the
+// submission ("" for none), stamped into the job record so a request can be
+// traced from the edge into the control plane.
+func (m *Jobs) Submit(id, kind, dataset, requestID string, run JobFunc) (*client.Job, error) {
 	m.mu.Lock()
 	if !m.started {
 		m.started = true

@@ -129,10 +129,6 @@ func RouteLabel(method, path string) string {
 	switch {
 	case path == "/v1/batch":
 		return "batch"
-	case path == "/v1/search":
-		return "search"
-	case path == "/v1/ktcore":
-		return "ktcore"
 	case path == "/v1/stats":
 		return "stats"
 	case path == "/v1/healthz":

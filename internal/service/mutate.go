@@ -108,15 +108,11 @@ func (s *Server) openMutations(name string, net *mac.Network, base uint64) (*mut
 // (any invalid op rejects the whole batch with nothing journaled or
 // visible) and ordered: inserts, then deletes, then attribute updates, then
 // moves. Concurrent searches are never disturbed — they keep the network
-// pointer they resolved and report the version it carried.
-func (s *Server) Mutate(name string, req *client.MutateRequest) (*client.MutateResponse, error) {
-	return s.MutateTagged(name, req, "")
-}
-
-// MutateTagged is Mutate plus the X-Request-ID of the HTTP request that
-// carried the batch, threaded into the standing-query eval job (and its log
-// records) the batch may trigger.
-func (s *Server) MutateTagged(name string, req *client.MutateRequest, requestID string) (*client.MutateResponse, error) {
+// pointer they resolved and report the version it carried. requestID is the
+// X-Request-ID of the HTTP request that carried the batch ("" for none),
+// threaded into the standing-query eval job (and its log records) the batch
+// may trigger.
+func (s *Server) Mutate(name string, req *client.MutateRequest, requestID string) (*client.MutateResponse, error) {
 	start := time.Now()
 	resp, err := s.mutate(name, req, requestID)
 	outcome := OutcomeOK
@@ -291,7 +287,7 @@ func (s *Server) serveMutation(w http.ResponseWriter, r *http.Request, deleteOnl
 			fmt.Errorf("DELETE accepts only deletes; use POST for mixed batches"))
 		return
 	}
-	resp, err := s.MutateTagged(r.PathValue("name"), &req, RequestIDFrom(r))
+	resp, err := s.Mutate(r.PathValue("name"), &req, RequestIDFrom(r))
 	if err != nil {
 		writeServiceError(w, err)
 		return

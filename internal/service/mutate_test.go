@@ -141,7 +141,7 @@ func TestHTTPMutateValidationAndVersioning(t *testing.T) {
 
 	// A search against the mutated dataset reports the pinned version.
 	_, q, k, tt := testNetwork(t)
-	status, sres := postJSON(t, ts.URL+"/v1/search", searchBody(t, "test", q, k, tt, nil))
+	status, sres := postJSON(t, ts.URL+"/v1/datasets/test/search", searchBody(t, "test", q, k, tt, nil))
 	if status != http.StatusOK {
 		t.Fatalf("search after mutations: status %d (%v)", status, sres)
 	}
@@ -191,7 +191,7 @@ func TestMutateInvalidatesSelectively(t *testing.T) {
 
 	// Prepare and warm one community; learn its membership.
 	body, _ := json.Marshal(map[string]any{"dataset": "test", "q": q, "k": k, "t": tt})
-	status, res := postJSON(t, ts.URL+"/v1/ktcore", body)
+	status, res := postJSON(t, ts.URL+"/v1/datasets/test/ktcore", body)
 	if status != http.StatusOK {
 		t.Fatalf("ktcore: status %d (%v)", status, res)
 	}
@@ -221,17 +221,17 @@ func TestMutateInvalidatesSelectively(t *testing.T) {
 	if res["invalidated"] != float64(0) {
 		t.Fatalf("outside attrs invalidated %v entries, want 0", res["invalidated"])
 	}
-	status, warm := postJSON(t, ts.URL+"/v1/search", searchBody(t, "test", q, k, tt, nil))
+	status, warm := postJSON(t, ts.URL+"/v1/datasets/test/search", searchBody(t, "test", q, k, tt, nil))
 	if status != http.StatusOK || warm["cache"] != CacheHit {
 		t.Fatalf("search after disjoint mutation: status %d cache %v, want 200 hit", status, warm["cache"])
 	}
 
 	// Cache a negative entry: an infeasible k caches ErrNoCommunity.
 	infeasible := searchBody(t, "test", q, 64, tt, nil)
-	if status, res = postJSON(t, ts.URL+"/v1/search", infeasible); status != http.StatusOK || res["no_community"] != true {
+	if status, res = postJSON(t, ts.URL+"/v1/datasets/test/search", infeasible); status != http.StatusOK || res["no_community"] != true {
 		t.Fatalf("infeasible search: status %d (%v), want no_community", status, res)
 	}
-	if status, res = postJSON(t, ts.URL+"/v1/search", infeasible); status != http.StatusOK || res["cache"] != CacheHit {
+	if status, res = postJSON(t, ts.URL+"/v1/datasets/test/search", infeasible); status != http.StatusOK || res["cache"] != CacheHit {
 		t.Fatalf("repeat infeasible search: status %d cache %v, want hit", status, res["cache"])
 	}
 
@@ -247,10 +247,10 @@ func TestMutateInvalidatesSelectively(t *testing.T) {
 	if res["invalidated"] != float64(0) {
 		t.Fatalf("inside attrs invalidated %v entries, want 0 (entry rebased, not dropped)", res["invalidated"])
 	}
-	if status, res = postJSON(t, ts.URL+"/v1/search", searchBody(t, "test", q, k, tt, nil)); status != http.StatusOK || res["cache"] != CacheHit {
+	if status, res = postJSON(t, ts.URL+"/v1/datasets/test/search", searchBody(t, "test", q, k, tt, nil)); status != http.StatusOK || res["cache"] != CacheHit {
 		t.Fatalf("search after member attr update: status %d cache %v, want 200 hit (rebased entry)", status, res["cache"])
 	}
-	if status, res = postJSON(t, ts.URL+"/v1/search", infeasible); status != http.StatusOK || res["cache"] != CacheHit {
+	if status, res = postJSON(t, ts.URL+"/v1/datasets/test/search", infeasible); status != http.StatusOK || res["cache"] != CacheHit {
 		t.Fatalf("infeasible search after attr update: status %d cache %v, want hit (negatives survive attr-only batches)", status, res["cache"])
 	}
 
@@ -260,7 +260,7 @@ func TestMutateInvalidatesSelectively(t *testing.T) {
 	if status, res = doJSON(t, "POST", edges, []byte(fmt.Sprintf(`{"inserts":[[%d,%d]]}`, u, v))); status != http.StatusOK {
 		t.Fatalf("structural insert: status %d (%v)", status, res)
 	}
-	if status, res = postJSON(t, ts.URL+"/v1/search", infeasible); status != http.StatusOK || res["cache"] != CacheMiss {
+	if status, res = postJSON(t, ts.URL+"/v1/datasets/test/search", infeasible); status != http.StatusOK || res["cache"] != CacheMiss {
 		t.Fatalf("infeasible search after structural mutation: status %d cache %v, want miss", status, res["cache"])
 	}
 }
@@ -291,7 +291,7 @@ func TestMutateVersionPinning(t *testing.T) {
 	}
 	done := make(chan reply, 1)
 	go func() {
-		status, body := postJSON(t, ts.URL+"/v1/search", searchBody(t, "test", q, k, tt, nil))
+		status, body := postJSON(t, ts.URL+"/v1/datasets/test/search", searchBody(t, "test", q, k, tt, nil))
 		done <- reply{status, body}
 	}()
 	<-gate.started // the search holds the pre-mutation network inside the oracle
@@ -316,7 +316,7 @@ func TestMutateVersionPinning(t *testing.T) {
 	}
 	// The invalidated in-flight entry did not get cached: the repeat is a
 	// miss against the post-mutation network, reporting the new version.
-	status, res = postJSON(t, ts.URL+"/v1/search", searchBody(t, "test", q, k, tt, nil))
+	status, res = postJSON(t, ts.URL+"/v1/datasets/test/search", searchBody(t, "test", q, k, tt, nil))
 	if status != http.StatusOK || res["cache"] != CacheMiss {
 		t.Fatalf("post-mutation search: status %d cache %v, want 200 miss", status, res["cache"])
 	}
@@ -366,7 +366,7 @@ func TestMutateJournalReplayRestart(t *testing.T) {
 		t.Fatalf("mutation version = %v, want 4", res["version"])
 	}
 	sbody := searchBody(t, "test", q, k, tt, nil)
-	status, before := postJSON(t, ts1.URL+"/v1/search", sbody)
+	status, before := postJSON(t, ts1.URL+"/v1/datasets/test/search", sbody)
 	if status != http.StatusOK {
 		t.Fatalf("pre-restart search: status %d (%v)", status, before)
 	}
@@ -378,7 +378,7 @@ func TestMutateJournalReplayRestart(t *testing.T) {
 	}
 	ts2 := httptest.NewServer(s2.Handler())
 	defer ts2.Close()
-	status, after := postJSON(t, ts2.URL+"/v1/search", sbody)
+	status, after := postJSON(t, ts2.URL+"/v1/datasets/test/search", sbody)
 	if status != http.StatusOK {
 		t.Fatalf("post-restart search: status %d (%v)", status, after)
 	}
@@ -412,7 +412,7 @@ func TestMutateJournalReplayRestart(t *testing.T) {
 	}
 	ts3 := httptest.NewServer(s3.Handler())
 	defer ts3.Close()
-	status, res = postJSON(t, ts3.URL+"/v1/search", sbody)
+	status, res = postJSON(t, ts3.URL+"/v1/datasets/test/search", sbody)
 	if status != http.StatusOK || res["version"] != float64(5) {
 		t.Fatalf("second replay: status %d version %v, want 200/5", status, res["version"])
 	}
@@ -447,7 +447,7 @@ func TestConcurrentSearchesRacingMutations(t *testing.T) {
 
 	// The two legal worlds: community with the toggled edge present (the
 	// seed state) and with it absent. The toggled edge connects two members.
-	status, res := postJSON(t, ts.URL+"/v1/ktcore", kbody)
+	status, res := postJSON(t, ts.URL+"/v1/datasets/test/ktcore", kbody)
 	if status != http.StatusOK {
 		t.Fatalf("baseline ktcore: status %d (%v)", status, res)
 	}
@@ -474,7 +474,7 @@ func TestConcurrentSearchesRacingMutations(t *testing.T) {
 	if status, res = doJSON(t, "DELETE", edges, []byte(fmt.Sprintf(`{"deletes":[[%d,%d]]}`, mu, mv))); status != http.StatusOK {
 		t.Fatalf("probe delete: status %d (%v)", status, res)
 	}
-	status, res = postJSON(t, ts.URL+"/v1/ktcore", kbody)
+	status, res = postJSON(t, ts.URL+"/v1/datasets/test/ktcore", kbody)
 	if status != http.StatusOK {
 		t.Fatalf("probe ktcore: status %d (%v)", status, res)
 	}
@@ -504,7 +504,7 @@ func TestConcurrentSearchesRacingMutations(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
-				status, res := postJSON(t, ts.URL+"/v1/ktcore", kbody)
+				status, res := postJSON(t, ts.URL+"/v1/datasets/test/ktcore", kbody)
 				if status != http.StatusOK {
 					t.Errorf("racing ktcore: status %d (%v)", status, res)
 					return
@@ -527,7 +527,7 @@ func TestConcurrentSearchesRacingMutations(t *testing.T) {
 
 	// Quiesced: toggles was even, so the edge is back and the final answer
 	// is the seed community at the final version.
-	status, res = postJSON(t, ts.URL+"/v1/ktcore", kbody)
+	status, res = postJSON(t, ts.URL+"/v1/datasets/test/ktcore", kbody)
 	if status != http.StatusOK {
 		t.Fatalf("final ktcore: status %d (%v)", status, res)
 	}

@@ -78,18 +78,18 @@ func TestKeyedStatsRecordedForAllOutcomes(t *testing.T) {
 	// Distinct (k,t) per request so they do not coalesce in the cache.
 	done := make(chan int, 2)
 	go func() {
-		status, _ := postJSON(t, ts.URL+"/v1/search", searchBody(t, "test", q, k, tt, nil))
+		status, _ := postJSON(t, ts.URL+"/v1/datasets/test/search", searchBody(t, "test", q, k, tt, nil))
 		done <- status
 	}()
 	<-gate.started
 	go func() {
-		status, _ := postJSON(t, ts.URL+"/v1/search", searchBody(t, "test", q, k, tt+1, nil))
+		status, _ := postJSON(t, ts.URL+"/v1/datasets/test/search", searchBody(t, "test", q, k, tt+1, nil))
 		done <- status
 	}()
 	for s.Stats().Queued == 0 { // request B sits in the queue
 		runtime.Gosched()
 	}
-	if status, body := postJSON(t, ts.URL+"/v1/search", searchBody(t, "test", q, k, tt+2, nil)); status != http.StatusTooManyRequests {
+	if status, body := postJSON(t, ts.URL+"/v1/datasets/test/search", searchBody(t, "test", q, k, tt+2, nil)); status != http.StatusTooManyRequests {
 		t.Fatalf("saturated request: status %d (%v), want 429", status, body)
 	}
 	close(gate.gate)
@@ -100,11 +100,11 @@ func TestKeyedStatsRecordedForAllOutcomes(t *testing.T) {
 	}
 
 	// Validation failure on a known dataset keeps the dataset label.
-	if status, _ := postJSON(t, ts.URL+"/v1/search", searchBody(t, "test", q, 0, tt, nil)); status != http.StatusBadRequest {
+	if status, _ := postJSON(t, ts.URL+"/v1/datasets/test/search", searchBody(t, "test", q, 0, tt, nil)); status != http.StatusBadRequest {
 		t.Fatalf("k=0 search: status %d, want 400", status)
 	}
 	// Unknown dataset folds into the bounded _unknown label.
-	if status, _ := postJSON(t, ts.URL+"/v1/search", searchBody(t, "nope", q, k, tt, nil)); status != http.StatusNotFound {
+	if status, _ := postJSON(t, ts.URL+"/v1/datasets/nope/search", searchBody(t, "nope", q, k, tt, nil)); status != http.StatusNotFound {
 		t.Fatalf("unknown dataset: status %d, want 404", status)
 	}
 
@@ -147,11 +147,11 @@ func TestMetricsEndpointParses(t *testing.T) {
 	defer ts.Close()
 
 	for i := 0; i < 3; i++ {
-		if status, body := postJSON(t, ts.URL+"/v1/search", searchBody(t, "test", q, k, tt, nil)); status != http.StatusOK {
+		if status, body := postJSON(t, ts.URL+"/v1/datasets/test/search", searchBody(t, "test", q, k, tt, nil)); status != http.StatusOK {
 			t.Fatalf("search %d: status %d (%v)", i, status, body)
 		}
 	}
-	if status, _ := postJSON(t, ts.URL+"/v1/search", searchBody(t, "nope", q, k, tt, nil)); status != http.StatusNotFound {
+	if status, _ := postJSON(t, ts.URL+"/v1/datasets/nope/search", searchBody(t, "nope", q, k, tt, nil)); status != http.StatusNotFound {
 		t.Fatal("expected 404 for unknown dataset")
 	}
 
@@ -211,7 +211,7 @@ func TestServerTimingAndRequestID(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/search", bytes.NewReader(searchBody(t, "test", q, k, tt, nil)))
+	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/datasets/test/search", bytes.NewReader(searchBody(t, "test", q, k, tt, nil)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestServerTimingAndRequestID(t *testing.T) {
 	}
 
 	// No client ID: the edge mints a 16-hex-digit one.
-	resp2, err := http.Post(ts.URL+"/v1/search", "application/json", bytes.NewReader(searchBody(t, "test", q, k, tt, nil)))
+	resp2, err := http.Post(ts.URL+"/v1/datasets/test/search", "application/json", bytes.NewReader(searchBody(t, "test", q, k, tt, nil)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +262,7 @@ func TestAccessLogAndSlowQuery(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/search", bytes.NewReader(searchBody(t, "test", q, k, tt, nil)))
+	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/datasets/test/search", bytes.NewReader(searchBody(t, "test", q, k, tt, nil)))
 	if err != nil {
 		t.Fatal(err)
 	}

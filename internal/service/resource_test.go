@@ -1,9 +1,7 @@
 package service
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -199,10 +197,10 @@ func TestRecreateDoesNotServeStaleCache(t *testing.T) {
 	}
 	req := &SearchRequest{Dataset: "x", Q: q, K: k, T: tt,
 		Region: &RegionSpec{Lo: []float64{0.2, 0.2}, Hi: []float64{0.25, 0.25}}}
-	if resp, err := s.Do(req, nil); err != nil || resp.Cache != CacheMiss {
+	if resp, _, err := s.Do(req, nil); err != nil || resp.Cache != CacheMiss {
 		t.Fatalf("first search: resp=%+v err=%v, want miss", resp, err)
 	}
-	if resp, err := s.Do(req, nil); err != nil || resp.Cache != CacheHit {
+	if resp, _, err := s.Do(req, nil); err != nil || resp.Cache != CacheHit {
 		t.Fatalf("repeat search: resp=%+v err=%v, want hit", resp, err)
 	}
 	if err := s.RemoveDataset("x"); err != nil {
@@ -213,7 +211,7 @@ func TestRecreateDoesNotServeStaleCache(t *testing.T) {
 	}
 	// Same name, same (Q,k,t) — but a new registration generation: the
 	// predecessor's prepared state must not answer.
-	if resp, err := s.Do(req, nil); err != nil || resp.Cache != CacheMiss {
+	if resp, _, err := s.Do(req, nil); err != nil || resp.Cache != CacheMiss {
 		t.Fatalf("search after re-create: resp=%+v err=%v, want miss", resp, err)
 	}
 }
@@ -306,70 +304,6 @@ func TestAuthToken(t *testing.T) {
 	resp, err := client.New(ts.URL, client.WithToken("sesame")).Search(ctx, "test", req)
 	if err != nil || resp.KTCoreSize == 0 {
 		t.Fatalf("search with token: resp=%+v err=%v", resp, err)
-	}
-}
-
-// TestLegacyShimByteIdentical: the body-addressed /v1/search shim and the
-// dataset-scoped route answer the same request with byte-identical bodies.
-func TestLegacyShimByteIdentical(t *testing.T) {
-	net, q, k, tt := testNetwork(t)
-	s := New(Config{})
-	if err := s.AddDataset("test", net); err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	post := func(path string, body []byte) []byte {
-		resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s: status %d", path, resp.StatusCode)
-		}
-		var buf bytes.Buffer
-		if _, err := buf.ReadFrom(resp.Body); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	legacyBody := searchBody(t, "test", q, k, tt, nil)
-	scoped := mustJSON(t, map[string]any{
-		"q": q, "k": k, "t": tt,
-		"region": map[string]any{"lo": []float64{0.2, 0.2}, "hi": []float64{0.25, 0.25}},
-	})
-	legacy := post("/v1/search", legacyBody)
-	pathScoped := post("/v1/datasets/test/search", scoped)
-	// elapsed_ms differs per run; normalize it before comparing.
-	strip := func(b []byte) map[string]any {
-		var m map[string]any
-		if err := json.Unmarshal(b, &m); err != nil {
-			t.Fatal(err)
-		}
-		delete(m, "elapsed_ms")
-		return m
-	}
-	l, p := strip(legacy), strip(pathScoped)
-	// Cache outcomes differ (first request misses, second hits) — both are
-	// legitimate; drop them and compare the payload proper.
-	delete(l, "cache")
-	delete(p, "cache")
-	lb, _ := json.Marshal(l)
-	pb, _ := json.Marshal(p)
-	if !bytes.Equal(lb, pb) {
-		t.Fatalf("legacy and dataset-scoped responses differ:\n%s\n%s", lb, pb)
-	}
-	// A body dataset contradicting the path is rejected.
-	contradicting := searchBody(t, "other", q, k, tt, nil)
-	resp, err := http.Post(ts.URL+"/v1/datasets/test/search", "application/json", bytes.NewReader(contradicting))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("contradicting dataset: status %d, want 400", resp.StatusCode)
 	}
 }
 

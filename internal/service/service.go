@@ -466,18 +466,13 @@ func (t Timing) serverTiming() string {
 }
 
 // Do executes one request under admission control, with cancel (usually a
-// deadline) wired through to Query.Cancel. It is the transport-agnostic
-// core the HTTP handlers call.
-func (s *Server) Do(req *SearchRequest, cancel <-chan struct{}) (*SearchResponse, error) {
-	resp, _, err := s.DoTimed(req, cancel)
-	return resp, err
-}
-
-// DoTimed is Do plus the phase breakdown. Every terminal outcome — success
-// or any error — is recorded into the keyed metrics registry with its
-// outcome label, so rejected and timed-out traffic shows up in per-dataset
-// latency series instead of vanishing.
-func (s *Server) DoTimed(req *SearchRequest, cancel <-chan struct{}) (*SearchResponse, Timing, error) {
+// deadline) wired through to Query.Cancel, and returns the phase breakdown
+// with the answer. It is the transport-agnostic core the HTTP handlers
+// call. Every terminal outcome — success or any error — is recorded into
+// the keyed metrics registry with its outcome label, so rejected and
+// timed-out traffic shows up in per-dataset latency series instead of
+// vanishing.
+func (s *Server) Do(req *SearchRequest, cancel <-chan struct{}) (*SearchResponse, Timing, error) {
 	start := time.Now()
 	var tm Timing
 	resp, err := s.doTimed(req, cancel, &tm)
@@ -487,17 +482,7 @@ func (s *Server) DoTimed(req *SearchRequest, cancel <-chan struct{}) (*SearchRes
 
 func (s *Server) doTimed(req *SearchRequest, cancel <-chan struct{}, tm *Timing) (*SearchResponse, error) {
 	s.requests.Add(1)
-	if err := validateRequest(req); err != nil {
-		s.failed.Add(1)
-		return nil, err
-	}
-	// The invalidation epoch is snapshotted BEFORE the network pointer: a
-	// mutation landing between the two reads makes the snapshot stale (the
-	// cache then conservatively drops this request's build), never the
-	// reverse, where a pre-mutation network would be cached under a
-	// post-mutation epoch.
-	epoch := s.cache.epoch(req.Dataset)
-	ds, err := s.network(req.Dataset)
+	ds, epoch, err := s.resolve(req)
 	if err != nil {
 		s.failed.Add(1)
 		return nil, err
@@ -511,6 +496,22 @@ func (s *Server) doTimed(req *SearchRequest, cancel <-chan struct{}, tm *Timing)
 	}
 	defer release()
 	return s.doAdmitted(req, ds, epoch, cancel, tm)
+}
+
+// resolve validates a request and resolves its dataset entry, returning the
+// entry with the dataset's invalidation epoch. Every read — a standalone
+// request, a batch item, a standing query's evaluation — starts here. The
+// epoch is snapshotted BEFORE the network pointer: a mutation landing
+// between the two reads makes the snapshot stale (the cache then
+// conservatively drops this request's build), never the reverse, where a
+// pre-mutation network would be cached under a post-mutation epoch.
+func (s *Server) resolve(req *SearchRequest) (dsEntry, uint64, error) {
+	if err := validateRequest(req); err != nil {
+		return dsEntry{}, 0, err
+	}
+	epoch := s.cache.epoch(req.Dataset)
+	ds, err := s.network(req.Dataset)
+	return ds, epoch, err
 }
 
 // routeFor names the metrics route of a standalone request; batch items
@@ -579,10 +580,11 @@ func (s *Server) doAdmitted(req *SearchRequest, ds dsEntry, epoch uint64, cancel
 	return resp, nil
 }
 
-// run executes an admitted request. Every variant flows through the same
-// path: resolve the engine from the request, resolve its prepared state
-// through the shared single-flight cache, then search via the
-// variant-agnostic Prepared handle — the service never branches on the
+// run executes a resolved request: an admitted one, or a standing query's
+// evaluation, which bypasses admission (tm is then nil). Every variant flows
+// through the same path: resolve the engine from the request, resolve its
+// prepared state through the shared single-flight cache, then search via
+// the variant-agnostic Prepared handle — the service never branches on the
 // variant itself.
 func (s *Server) run(req *SearchRequest, ds dsEntry, epoch uint64, cancel <-chan struct{}, tm *Timing) (*SearchResponse, error) {
 	net := ds.net

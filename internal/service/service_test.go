@@ -107,14 +107,14 @@ func TestHTTPSearchRoundTrip(t *testing.T) {
 	defer ts.Close()
 
 	body := searchBody(t, "test", q, k, tt, nil)
-	status, cold := postJSON(t, ts.URL+"/v1/search", body)
+	status, cold := postJSON(t, ts.URL+"/v1/datasets/test/search", body)
 	if status != http.StatusOK {
 		t.Fatalf("cold search: status %d (%v)", status, cold)
 	}
 	if cold["cache"] != CacheMiss {
 		t.Fatalf("cold search: cache = %v, want miss", cold["cache"])
 	}
-	status, warm := postJSON(t, ts.URL+"/v1/search", body)
+	status, warm := postJSON(t, ts.URL+"/v1/datasets/test/search", body)
 	if status != http.StatusOK {
 		t.Fatalf("warm search: status %d (%v)", status, warm)
 	}
@@ -131,13 +131,13 @@ func TestHTTPSearchRoundTrip(t *testing.T) {
 	other := searchBody(t, "test", q, k, tt, map[string]any{
 		"region": map[string]any{"lo": []float64{0.3, 0.3}, "hi": []float64{0.32, 0.32}},
 	})
-	status, res := postJSON(t, ts.URL+"/v1/search", other)
+	status, res := postJSON(t, ts.URL+"/v1/datasets/test/search", other)
 	if status != http.StatusOK || res["cache"] != CacheHit {
 		t.Fatalf("other-region search: status %d cache %v, want 200 hit", status, res["cache"])
 	}
 	// Local algo through the same prepared state.
 	local := searchBody(t, "test", q, k, tt, map[string]any{"algo": "local"})
-	status, res = postJSON(t, ts.URL+"/v1/search", local)
+	status, res = postJSON(t, ts.URL+"/v1/datasets/test/search", local)
 	if status != http.StatusOK || res["cache"] != CacheHit {
 		t.Fatalf("local search: status %d cache %v, want 200 hit", status, res["cache"])
 	}
@@ -157,14 +157,14 @@ func TestHTTPTrussThroughCache(t *testing.T) {
 	defer ts.Close()
 
 	truss := searchBody(t, "test", q, k, tt, map[string]any{"algo": "truss"})
-	status, cold := postJSON(t, ts.URL+"/v1/search", truss)
+	status, cold := postJSON(t, ts.URL+"/v1/datasets/test/search", truss)
 	if status != http.StatusOK {
 		t.Fatalf("cold truss search: status %d (%v)", status, cold)
 	}
 	if cold["cache"] != CacheMiss {
 		t.Fatalf("cold truss search: cache = %v, want miss", cold["cache"])
 	}
-	status, warm := postJSON(t, ts.URL+"/v1/search", truss)
+	status, warm := postJSON(t, ts.URL+"/v1/datasets/test/search", truss)
 	if status != http.StatusOK || warm["cache"] != CacheHit {
 		t.Fatalf("warm truss search: status %d cache %v, want 200 hit", status, warm["cache"])
 	}
@@ -175,13 +175,13 @@ func TestHTTPTrussThroughCache(t *testing.T) {
 	}
 	// The core variant of the same (Q, k, t) prepares separately: its first
 	// request must be a miss, not a hit on the truss entry.
-	status, core := postJSON(t, ts.URL+"/v1/search", searchBody(t, "test", q, k, tt, nil))
+	status, core := postJSON(t, ts.URL+"/v1/datasets/test/search", searchBody(t, "test", q, k, tt, nil))
 	if status != http.StatusOK || core["cache"] != CacheMiss {
 		t.Fatalf("core after truss: status %d cache %v, want 200 miss", status, core["cache"])
 	}
 	// The membership endpoint serves the truss variant from the same entry.
 	body, _ := json.Marshal(map[string]any{"dataset": "test", "q": q, "k": k, "t": tt, "algo": "truss"})
-	status, res := postJSON(t, ts.URL+"/v1/ktcore", body)
+	status, res := postJSON(t, ts.URL+"/v1/datasets/test/ktcore", body)
 	if status != http.StatusOK {
 		t.Fatalf("truss ktcore: status %d (%v)", status, res)
 	}
@@ -202,7 +202,7 @@ func TestHTTPKTCore(t *testing.T) {
 	defer ts.Close()
 
 	body, _ := json.Marshal(map[string]any{"dataset": "test", "q": q, "k": k, "t": tt})
-	status, res := postJSON(t, ts.URL+"/v1/ktcore", body)
+	status, res := postJSON(t, ts.URL+"/v1/datasets/test/ktcore", body)
 	if status != http.StatusOK {
 		t.Fatalf("ktcore: status %d (%v)", status, res)
 	}
@@ -214,14 +214,15 @@ func TestHTTPKTCore(t *testing.T) {
 		t.Fatalf("ktcore_size %v != %d members", res["ktcore_size"], len(members))
 	}
 	// The search endpoint now hits the same cache entry.
-	status, sres := postJSON(t, ts.URL+"/v1/search", searchBody(t, "test", q, k, tt, nil))
+	status, sres := postJSON(t, ts.URL+"/v1/datasets/test/search", searchBody(t, "test", q, k, tt, nil))
 	if status != http.StatusOK || sres["cache"] != CacheHit {
 		t.Fatalf("search after ktcore: status %d cache %v, want 200 hit", status, sres["cache"])
 	}
 }
 
 // TestHTTPValidationAndHealth: 400 on malformed requests, 404 on unknown
-// datasets, healthz and stats respond.
+// datasets and on the retired body-addressed routes, healthz and stats
+// respond.
 func TestHTTPValidationAndHealth(t *testing.T) {
 	net, q, k, tt := testNetwork(t)
 	s := New(Config{})
@@ -232,20 +233,34 @@ func TestHTTPValidationAndHealth(t *testing.T) {
 	defer ts.Close()
 
 	cases := []struct {
-		name string
-		body []byte
-		want int
+		name    string
+		dataset string // the dataset named in the URL path
+		body    []byte
+		want    int
 	}{
-		{"unknown dataset", searchBody(t, "nope", q, k, tt, nil), http.StatusNotFound},
-		{"bad k", searchBody(t, "test", q, 0, tt, nil), http.StatusBadRequest},
-		{"no region", mustJSON(t, map[string]any{"dataset": "test", "q": q, "k": k, "t": tt}), http.StatusBadRequest},
-		{"bad algo", searchBody(t, "test", q, k, tt, map[string]any{"algo": "quantum"}), http.StatusBadRequest},
-		{"empty q", searchBody(t, "test", []int32{}, k, tt, nil), http.StatusBadRequest},
-		{"garbage", []byte("{"), http.StatusBadRequest},
+		{"unknown dataset", "nope", searchBody(t, "nope", q, k, tt, nil), http.StatusNotFound},
+		{"bad k", "test", searchBody(t, "test", q, 0, tt, nil), http.StatusBadRequest},
+		{"no region", "test", mustJSON(t, map[string]any{"dataset": "test", "q": q, "k": k, "t": tt}), http.StatusBadRequest},
+		{"bad algo", "test", searchBody(t, "test", q, k, tt, map[string]any{"algo": "quantum"}), http.StatusBadRequest},
+		{"empty q", "test", searchBody(t, "test", []int32{}, k, tt, nil), http.StatusBadRequest},
+		{"garbage", "test", []byte("{"), http.StatusBadRequest},
+		{"body dataset contradicts path", "test", searchBody(t, "other", q, k, tt, nil), http.StatusBadRequest},
 	}
 	for _, tc := range cases {
-		if status, res := postJSON(t, ts.URL+"/v1/search", tc.body); status != tc.want {
+		if status, res := postJSON(t, ts.URL+"/v1/datasets/"+tc.dataset+"/search", tc.body); status != tc.want {
 			t.Fatalf("%s: status %d (%v), want %d", tc.name, status, res, tc.want)
+		}
+	}
+	// The body-addressed routes are gone: a valid body answers the mux's
+	// plain-text 404.
+	for _, path := range []string{"/v1/search", "/v1/ktcore"} {
+		resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(searchBody(t, "test", q, k, tt, nil)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("POST %s: status %d, want 404", path, resp.StatusCode)
 		}
 	}
 
@@ -312,7 +327,7 @@ func TestAdmissionSaturation(t *testing.T) {
 	// Distinct (k,t) per request so they do not coalesce in the cache.
 	launch := func(tOffset float64) {
 		go func() {
-			status, body := postJSON(t, ts.URL+"/v1/search", searchBody(t, "test", q, k, tt+tOffset, nil))
+			status, body := postJSON(t, ts.URL+"/v1/datasets/test/search", searchBody(t, "test", q, k, tt+tOffset, nil))
 			results <- result{status, body}
 		}()
 	}
@@ -323,7 +338,7 @@ func TestAdmissionSaturation(t *testing.T) {
 		runtime.Gosched()
 	}
 	// Request C: queue full → immediate 429.
-	status, body := postJSON(t, ts.URL+"/v1/search", searchBody(t, "test", q, k, tt+2, nil))
+	status, body := postJSON(t, ts.URL+"/v1/datasets/test/search", searchBody(t, "test", q, k, tt+2, nil))
 	if status != http.StatusTooManyRequests {
 		t.Fatalf("saturated request: status %d (%v), want 429", status, body)
 	}
@@ -360,7 +375,7 @@ func TestDeadlinePropagatesToCancel(t *testing.T) {
 
 	done := make(chan result504, 1)
 	go func() {
-		status, body := postJSON(t, ts.URL+"/v1/search",
+		status, body := postJSON(t, ts.URL+"/v1/datasets/test/search",
 			searchBody(t, "test", q, k, tt, map[string]any{"timeout_ms": 40}))
 		done <- result504{status, body}
 	}()
@@ -405,7 +420,7 @@ func TestHTTPSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			statuses[i], _ = postJSON(t, ts.URL+"/v1/search", searchBody(t, "test", q, k, tt, nil))
+			statuses[i], _ = postJSON(t, ts.URL+"/v1/datasets/test/search", searchBody(t, "test", q, k, tt, nil))
 		}(i)
 	}
 	<-gate.started
@@ -455,7 +470,7 @@ func TestCanceledBuilderDoesNotPoisonWaiters(t *testing.T) {
 	// Builder: short deadline, will be canceled while the oracle holds it.
 	builderDone := make(chan reply, 1)
 	go func() {
-		status, body := postJSON(t, ts.URL+"/v1/search",
+		status, body := postJSON(t, ts.URL+"/v1/datasets/test/search",
 			searchBody(t, "test", q, k, tt, map[string]any{"timeout_ms": 40}))
 		builderDone <- reply{status, body}
 	}()
@@ -463,7 +478,7 @@ func TestCanceledBuilderDoesNotPoisonWaiters(t *testing.T) {
 	// Waiter: generous deadline, coalesces on the same key.
 	waiterDone := make(chan reply, 1)
 	go func() {
-		status, body := postJSON(t, ts.URL+"/v1/search",
+		status, body := postJSON(t, ts.URL+"/v1/datasets/test/search",
 			searchBody(t, "test", q, k, tt, map[string]any{"timeout_ms": 30000}))
 		waiterDone <- reply{status, body}
 	}()
@@ -503,13 +518,13 @@ func TestConcurrentMixedLoad(t *testing.T) {
 			defer wg.Done()
 			switch i % 3 {
 			case 0:
-				status, body := postJSON(t, ts.URL+"/v1/search", searchBody(t, "test", q, k, tt+float64(i%4), nil))
+				status, body := postJSON(t, ts.URL+"/v1/datasets/test/search", searchBody(t, "test", q, k, tt+float64(i%4), nil))
 				if status != http.StatusOK {
 					t.Errorf("search %d: status %d (%v)", i, status, body)
 				}
 			case 1:
 				body, _ := json.Marshal(map[string]any{"dataset": "test", "q": q, "k": k, "t": tt})
-				if status, res := postJSON(t, ts.URL+"/v1/ktcore", body); status != http.StatusOK {
+				if status, res := postJSON(t, ts.URL+"/v1/datasets/test/ktcore", body); status != http.StatusOK {
 					t.Errorf("ktcore %d: status %d (%v)", i, status, res)
 				}
 			default:

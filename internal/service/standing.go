@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"roadsocial/client"
-	"roadsocial/internal/mac"
 	"roadsocial/internal/standing"
 )
 
@@ -49,10 +48,7 @@ const HeaderInternal = "X-Roadsocial-Internal"
 // primary's id when mirroring a registration to followers.
 func (s *Server) CreateStandingQuery(name string, req *client.StandingQueryRequest, requestID string) (*client.StandingQuery, error) {
 	sreq := &SearchRequest{Dataset: name, Algo: req.Algo, Q: req.Q, K: req.K, T: req.T, KTCoreOnly: true}
-	if err := validateRequest(sreq); err != nil {
-		return nil, err
-	}
-	if _, err := s.network(name); err != nil {
+	if _, _, err := s.resolve(sreq); err != nil {
 		return nil, err
 	}
 	e, err := s.standing.Register(name, client.StandingQuery{
@@ -110,7 +106,7 @@ func (s *Server) StandingQueries(name string) (*client.StandingQueryList, error)
 // returned startRun); a failed dispatch releases it so the next matching
 // mutation retries — the pending marks themselves survive.
 func (s *Server) submitStandingEval(name, requestID string) {
-	_, err := s.jobs.SubmitTagged("", client.JobKindStandingEval, name, requestID,
+	_, err := s.jobs.Submit("", client.JobKindStandingEval, name, requestID,
 		func(_ <-chan struct{}, progress func(string)) (*client.DatasetInfo, error) {
 			n := s.runStandingEvals(name, requestID)
 			progress(fmt.Sprintf("evaluated %d standing queries", n))
@@ -142,65 +138,35 @@ func (s *Server) runStandingEvals(name, requestID string) int {
 	return n
 }
 
-// evalStanding computes a standing query's current membership: a ktcore pass
-// through the shared prepared cache under the exact key a search would use,
-// so a warm cache makes re-evaluation a lookup. It bypasses admission like
-// the write path that triggers it — boundedness comes from the job workers.
-// ErrNoCommunity is a result (empty membership), not an error. The returned
-// version is the installed dataset version the evaluation resolved.
+// evalStanding computes a standing query's current membership: the ktcore
+// request a client would send, resolved and run through the same path, so a
+// warm cache makes re-evaluation a lookup. It bypasses admission and the
+// request counters like the write path that triggers it — boundedness comes
+// from the job workers. An empty community is a result (empty membership),
+// not an error. The returned version is the installed dataset version the
+// evaluation resolved.
 func (s *Server) evalStanding(name string, spec client.StandingQuery) (members []int32, version uint64, err error) {
 	start := time.Now()
-	members, version, err = s.evalStandingOnce(name, spec)
+	req := &SearchRequest{Dataset: name, Algo: spec.Algo, Q: spec.Q, K: spec.K, T: spec.T, KTCoreOnly: true}
+	members, version, err = s.evalStandingOnce(req)
 	outcome := OutcomeOK
 	if err != nil {
 		outcome = client.CodeForStatus(statusOf(err))
 	}
-	variant := mac.VariantCore
-	if spec.Algo == client.AlgoTruss {
-		variant = mac.VariantTruss
-	}
-	s.metrics.record(name, string(variant), RouteStandingEval, outcome, msSince(start))
+	s.metrics.record(name, string(reqVariant(req)), RouteStandingEval, outcome, msSince(start))
 	return members, version, err
 }
 
-func (s *Server) evalStandingOnce(name string, spec client.StandingQuery) ([]int32, uint64, error) {
-	// Epoch before network pointer, same as the search path: a mutation
-	// landing between the reads makes the build conservatively uncacheable,
-	// never a stale entry.
-	epoch := s.cache.epoch(name)
-	ds, err := s.network(name)
+func (s *Server) evalStandingOnce(req *SearchRequest) ([]int32, uint64, error) {
+	ds, epoch, err := s.resolve(req)
 	if err != nil {
 		return nil, 0, err
 	}
-	req := &SearchRequest{Dataset: name, Algo: spec.Algo, Q: spec.Q, K: spec.K, T: spec.T, KTCoreOnly: true}
-	q, err := buildQuery(req, ds.net, s.cfg.Parallelism, nil)
+	resp, err := s.run(req, ds, epoch, nil, nil)
 	if err != nil {
 		return nil, 0, err
 	}
-	eng, err := mac.EngineFor(reqVariant(req))
-	if err != nil {
-		return nil, 0, fmt.Errorf("%w: %v", ErrInvalid, err)
-	}
-	key := prepKey(name, ds.gen, eng.Variant(), spec.Q, spec.K, spec.T)
-	var p *mac.Prepared
-	for {
-		p, _, err = s.cache.getOrBuild(key, name, epoch, nil, func() (*mac.Prepared, error) {
-			return eng.Prepare(ds.net, q)
-		})
-		if errors.Is(err, mac.ErrCanceled) {
-			// A coalesced build died with its builder's deadline, never ours
-			// (we carry no cancel channel); retry as the builder.
-			continue
-		}
-		break
-	}
-	if errors.Is(err, mac.ErrNoCommunity) {
-		return nil, ds.version, nil
-	}
-	if err != nil {
-		return nil, 0, err
-	}
-	return p.Members(), ds.version, nil
+	return resp.KTCore, resp.Version, nil
 }
 
 // serveCreateStandingQuery handles POST /v1/datasets/{name}/queries.

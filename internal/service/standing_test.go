@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"roadsocial/client"
+	"roadsocial/internal/mac"
 )
 
 // waitEvent reads one event off a subscription with a deadline, failing the
@@ -627,5 +628,53 @@ func TestStandingCreateDeleteSubscribeRace(t *testing.T) {
 	}
 	if n := s.Stats().StandingQueries; n != 0 {
 		t.Fatalf("standing queries after dataset delete = %d, want 0", n)
+	}
+}
+
+// TestStandingEvalUsesKTCorePath: a standing query is evaluated as the
+// ktcore request a client would send, through the same resolve-and-run
+// path. Registering a query right after a ktcore request for the same
+// (algo, Q, k, t) is exactly one prepared-cache hit and no miss, and the
+// query's initial members are the ktcore answer — for core, also the
+// (k,t)-core computed from scratch.
+func TestStandingEvalUsesKTCorePath(t *testing.T) {
+	net, q, k, tt := testNetwork(t)
+	for _, algo := range []client.Algo{client.AlgoGlobal, client.AlgoTruss} {
+		t.Run(string(algo), func(t *testing.T) {
+			s := New(Config{})
+			if err := s.AddDataset("test", net); err != nil {
+				t.Fatal(err)
+			}
+			kt, _, err := s.Do(&SearchRequest{Dataset: "test", Algo: algo, Q: q, K: k, T: tt, KTCoreOnly: true}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := s.Stats().Cache
+			sq, err := s.CreateStandingQuery("test", &client.StandingQueryRequest{Algo: algo, Q: q, K: k, T: tt}, "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			after := s.Stats().Cache
+			if after.Hits != before.Hits+1 || after.Misses != before.Misses {
+				t.Fatalf("registration cache hits %d -> %d, misses %d -> %d; want one hit, no miss",
+					before.Hits, after.Hits, before.Misses, after.Misses)
+			}
+			if got, want := canonMembers(sq.Members), canonMembers(kt.KTCore); got != want {
+				t.Fatalf("standing members %s, want the ktcore answer %s", got, want)
+			}
+			if algo != client.AlgoGlobal {
+				return
+			}
+			if len(sq.Members) == 0 {
+				t.Fatal("core standing query has no members")
+			}
+			truth, err := mac.KTCore(net, q, k, tt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := canonMembers(sq.Members), canonMembers(truth); got != want {
+				t.Fatalf("standing members %s, want mac.KTCore %s", got, want)
+			}
+		})
 	}
 }

@@ -211,7 +211,7 @@ func (rt *Router) recoverReplicate(e journalEntry) {
 	}
 	// No client auth survives a restart; Remote backends attach their own
 	// peer token to forwarded calls, so recovery works in -auth-token fleets.
-	_, err := rt.jobs.SubmitWithID(e.ID, client.JobKindReplicate, e.Dataset,
+	_, err := rt.jobs.Submit(e.ID, client.JobKindReplicate, e.Dataset, "",
 		func(cancel <-chan struct{}, progress func(string)) (*client.DatasetInfo, error) {
 			defer release()
 			info, err := rt.runReplicate(e.Dataset, "", cancel, progress)
@@ -241,7 +241,7 @@ func (rt *Router) recoverMove(e journalEntry) {
 		}
 	}
 	submit := func(run service.JobFunc) {
-		if _, err := rt.jobs.SubmitWithID(e.ID, client.JobKindMove, e.Dataset, run); err != nil {
+		if _, err := rt.jobs.Submit(e.ID, client.JobKindMove, e.Dataset, "", run); err != nil {
 			release()
 			rt.journalFinish(e.ID, err)
 		}

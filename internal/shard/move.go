@@ -115,7 +115,7 @@ func (rt *Router) serveMoveDataset(w http.ResponseWriter, r *http.Request) {
 		Source: rt.backends[src].Name(), Target: rt.backends[tgt].Name(),
 		Replicas: rt.namesOf(planned),
 	})
-	job, err := rt.jobs.SubmitTagged(id, client.JobKindMove, name,
+	job, err := rt.jobs.Submit(id, client.JobKindMove, name,
 		r.Header.Get(client.HeaderRequestID),
 		func(cancel <-chan struct{}, progress func(string)) (*client.DatasetInfo, error) {
 			info, err := rt.runMove(name, src, tgt, planned, auth, cancel, progress, release)

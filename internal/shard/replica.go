@@ -56,7 +56,7 @@ func (rt *Router) submitReplicate(name, auth string) {
 		ID: id, Kind: client.JobKindReplicate, Dataset: name,
 		Replicas: rt.namesOf(rt.replicaSetFor(name)),
 	})
-	_, err := rt.jobs.SubmitWithID(id, client.JobKindReplicate, name,
+	_, err := rt.jobs.Submit(id, client.JobKindReplicate, name, "",
 		func(cancel <-chan struct{}, progress func(string)) (*client.DatasetInfo, error) {
 			defer release()
 			info, err := rt.runReplicate(name, auth, cancel, progress)

@@ -39,9 +39,8 @@ func loaderRouter(t testing.TB, net *mac.Network) (*Router, []*Local) {
 // TestDatasetMoveAcrossShards: a dataset registered through the router
 // lands on its ring owner and serves through the URL-routed search path;
 // deleting it and re-creating it pinned to the other shard moves ownership
-// — later searches (dataset-scoped and legacy alike) route to the new
-// owner — while a bystander dataset keeps answering throughout. No process
-// restarts anywhere.
+// — later searches route to the new owner — while a bystander dataset keeps
+// answering throughout. No process restarts anywhere.
 func TestDatasetMoveAcrossShards(t *testing.T) {
 	net, q, k, tt := testNetwork(t)
 	rt, locals := loaderRouter(t, net)
@@ -94,18 +93,13 @@ func TestDatasetMoveAcrossShards(t *testing.T) {
 		t.Fatalf("pinned create landed on %q, want %q", info.Shard, locals[away].Name())
 	}
 
-	// Both the URL-routed and the legacy body-routed paths now reach the
-	// new owner.
+	// The URL-routed path now reaches the new owner.
 	awayBefore := locals[away].Server().Stats().Requests
 	if _, err := sdk.Search(ctx, "mover", req(3)); err != nil {
 		t.Fatalf("search after move: %v", err)
 	}
-	legacy := searchBody(t, "mover", q, k, tt+4)
-	if status, res := postJSON(t, ts.URL+"/v1/search", legacy); status != http.StatusOK {
-		t.Fatalf("legacy search after move: status %d (%v)", status, res)
-	}
-	if got := locals[away].Server().Stats().Requests - awayBefore; got != 2 {
-		t.Fatalf("new owner served %d requests after move, want 2", got)
+	if got := locals[away].Server().Stats().Requests - awayBefore; got != 1 {
+		t.Fatalf("new owner served %d requests after move, want 1", got)
 	}
 	if got := locals[home].Server().Stats().Requests; got != homeRequests {
 		t.Fatalf("old owner request count moved %d -> %d; it should see no mover traffic", homeRequests, got)
@@ -238,7 +232,7 @@ func TestStatsMergedQuantiles(t *testing.T) {
 	defer ts.Close()
 
 	for i, ds := range datasets {
-		if status, res := postJSON(t, ts.URL+"/v1/search", searchBody(t, ds, q, k, tt+float64(i))); status != http.StatusOK {
+		if status, res := postJSON(t, ts.URL+"/v1/datasets/"+ds+"/search", searchBody(t, ds, q, k, tt+float64(i))); status != http.StatusOK {
 			t.Fatalf("%s: status %d (%v)", ds, status, res)
 		}
 	}
@@ -296,7 +290,7 @@ func TestRemoteTokenForwarding(t *testing.T) {
 	}
 	// A proxied request without a client token also rides the backend's
 	// token (tier auth, not end-user auth).
-	status, res := postJSON(t, ts.URL+"/v1/search", searchBody(t, "remote-ds", q, k, tt))
+	status, res := postJSON(t, ts.URL+"/v1/datasets/remote-ds/search", searchBody(t, "remote-ds", q, k, tt))
 	if status != http.StatusOK {
 		t.Fatalf("proxied search: status %d (%v)", status, res)
 	}

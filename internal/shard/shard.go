@@ -6,14 +6,12 @@
 //
 // A Router owns a fixed set of Backends and a hash ring with virtual nodes.
 // Dataset-scoped requests (/v1/datasets/{name}/...) are routed to the shard
-// that owns the dataset named in the URL — no body inspection at all; the
-// legacy body-addressed /v1/search and /v1/ktcore shims peek the dataset
-// from the body before forwarding. /v1/healthz and /v1/stats fan out to
-// every shard and aggregate; /v1/batch splits by owning shard, forwards the
-// sub-batches concurrently, and merges the per-item results in order. A
-// shard that cannot be reached answers its datasets' requests with 502 and
-// shows up as down in the aggregated health and stats — the other shards
-// keep serving.
+// that owns the dataset named in the URL — no body inspection at all.
+// /v1/healthz and /v1/stats fan out to every shard and aggregate; /v1/batch
+// splits by owning shard, forwards the sub-batches concurrently, and merges
+// the per-item results in order. A shard that cannot be reached answers its
+// datasets' requests with 502 and shows up as down in the aggregated health
+// and stats — the other shards keep serving.
 //
 // Ownership is dynamic: the ring gives every dataset a default owner, and
 // the dataset lifecycle (POST/DELETE /v1/datasets/{name}) maintains an
@@ -45,8 +43,7 @@
 //
 // The Router holds no query state of its own: all caching, admission
 // control, and deadline handling stay in the per-shard service tier, so the
-// routing layer adds one hash (and, for legacy requests, one body peek) per
-// request.
+// routing layer adds one hash per request.
 package shard
 
 import (
@@ -913,10 +910,9 @@ func (rt *Router) saveAssignmentsLocked() {
 }
 
 // Handler returns the shard-aware HTTP API: dataset-scoped routes go to the
-// owning shard by URL, the legacy body-addressed shims by body peek, batch
-// splits across shards, healthz/stats fan out to every shard, and the
-// control plane — async creates, snapshot export/import, and moves — runs
-// as router-level job resources.
+// owning shard by URL, batch splits across shards, healthz/stats fan out to
+// every shard, and the control plane — async creates, snapshot
+// export/import, and moves — runs as router-level job resources.
 func (rt *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/datasets/{name}/search", rt.routeDataset)
@@ -938,8 +934,6 @@ func (rt *Router) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/jobs", rt.serveListJobs)
 	mux.HandleFunc("DELETE /v1/jobs/{id}", rt.serveCancelJob)
 	mux.HandleFunc("POST /v1/batch", rt.serveBatch)
-	mux.HandleFunc("POST /v1/search", rt.routeLegacy)
-	mux.HandleFunc("POST /v1/ktcore", rt.routeLegacy)
 	mux.HandleFunc("GET /v1/healthz", rt.serveHealthz)
 	mux.HandleFunc("GET /v1/stats", rt.serveStats)
 	mux.HandleFunc("GET /metrics", rt.serveMetrics)
@@ -1024,31 +1018,6 @@ func (rt *Router) routeSnapshotGet(w http.ResponseWriter, r *http.Request) {
 	done := rt.trackRoute(name, idx)
 	defer done()
 	rt.backends[idx].ServeAPI(w, r)
-}
-
-// routeLegacy is the compat shim for the body-addressed endpoints: peek the
-// dataset from the request body and forward under the original URL (the
-// shard service keeps its own legacy shims, so the response is
-// byte-identical to the pre-resource API). Failover applies like on the
-// dataset-scoped routes.
-func (rt *Router) routeLegacy(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, service.MaxRequestBody))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
-		return
-	}
-	var peek struct {
-		Dataset string `json:"dataset"`
-	}
-	if err := json.Unmarshal(body, &peek); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
-		return
-	}
-	if peek.Dataset == "" {
-		writeError(w, http.StatusBadRequest, errors.New("missing dataset"))
-		return
-	}
-	rt.routeRead(w, r, peek.Dataset, body)
 }
 
 // routeRead forwards a read to the dataset's replicas in candidate order:
@@ -1155,7 +1124,7 @@ func (rt *Router) serveCreateDataset(w http.ResponseWriter, r *http.Request) {
 		// GET /v1/jobs/{id} against the router always finds it.
 		auth := r.Header.Get("Authorization")
 		specCopy := spec
-		job, err := rt.jobs.SubmitTagged("", client.JobKindCreate, name,
+		job, err := rt.jobs.Submit("", client.JobKindCreate, name,
 			r.Header.Get(client.HeaderRequestID),
 			func(cancel <-chan struct{}, progress func(string)) (*client.DatasetInfo, error) {
 				progress("forwarding")
@@ -1732,8 +1701,6 @@ func (rt *Router) Stats() Stats {
 	out.Totals.JobsDone += routerJobsDone
 	out.Totals.JobsFailed += routerJobsFailed
 	datasets := make(map[string]bool)
-	var worstP50, worstP99 float64
-	bucketless := false
 	for _, ss := range per {
 		if !ss.Ok {
 			out.Down++
@@ -1779,24 +1746,6 @@ func (rt *Router) Stats() Stats {
 		tot.DatasetStats = client.MergeKeyStats(tot.DatasetStats, st.DatasetStats)
 		tot.Stages = client.MergeStageStats(tot.Stages, st.Stages)
 		tot.Latency.Merge(st.Latency)
-		if st.Latency.Count > 0 && len(st.Latency.Buckets) == 0 {
-			bucketless = true
-		}
-		if st.Latency.P50Ms > worstP50 {
-			worstP50 = st.Latency.P50Ms
-		}
-		if st.Latency.P99Ms > worstP99 {
-			worstP99 = st.Latency.P99Ms
-		}
-	}
-	if bucketless && out.Totals.Latency.Count > 0 {
-		// Any peer predating the histogram schema poisons the merged
-		// quantiles (its requests count toward the total but not toward
-		// the buckets), so the whole fleet falls back to the conservative
-		// worst-of approximation rather than reporting quantiles over a
-		// subset of the traffic.
-		out.Totals.Latency.P50Ms = worstP50
-		out.Totals.Latency.P99Ms = worstP99
 	}
 	for d := range datasets {
 		out.Totals.Datasets = append(out.Totals.Datasets, d)

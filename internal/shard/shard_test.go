@@ -140,7 +140,7 @@ func TestRouteLandsOnOwningShard(t *testing.T) {
 
 	wantRequests := [2]int64{}
 	for _, ds := range datasets {
-		status, res := postJSON(t, ts.URL+"/v1/search", searchBody(t, ds, q, k, tt))
+		status, res := postJSON(t, ts.URL+"/v1/datasets/"+ds+"/search", searchBody(t, ds, q, k, tt))
 		if status != http.StatusOK {
 			t.Fatalf("%s: status %d (%v)", ds, status, res)
 		}
@@ -164,12 +164,17 @@ func TestRouteLandsOnOwningShard(t *testing.T) {
 			}
 		}
 	}
-	// Missing dataset field → 400 at the router, not a misroute.
-	if status, _ := postJSON(t, ts.URL+"/v1/search", []byte(`{"q":[1],"k":2,"t":5}`)); status != http.StatusBadRequest {
-		t.Fatalf("missing dataset: status %d, want 400", status)
-	}
-	if status, _ := postJSON(t, ts.URL+"/v1/search", []byte(`{`)); status != http.StatusBadRequest {
-		t.Fatalf("garbage body: status %d, want 400", status)
+	// The body-addressed routes are gone: a valid body answers the mux's
+	// plain-text 404 rather than being routed by a body peek.
+	for _, path := range []string{"/v1/search", "/v1/ktcore"} {
+		resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(searchBody(t, datasets[0], q, k, tt)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("POST %s: status %d, want 404", path, resp.StatusCode)
+		}
 	}
 }
 
@@ -192,7 +197,7 @@ func TestStatsAggregation(t *testing.T) {
 	defer ts.Close()
 
 	for _, ds := range datasets {
-		if status, res := postJSON(t, ts.URL+"/v1/search", searchBody(t, ds, q, k, tt)); status != http.StatusOK {
+		if status, res := postJSON(t, ts.URL+"/v1/datasets/"+ds+"/search", searchBody(t, ds, q, k, tt)); status != http.StatusOK {
 			t.Fatalf("%s: status %d (%v)", ds, status, res)
 		}
 	}
@@ -259,7 +264,7 @@ func TestRemoteShardRoundTripAndDown(t *testing.T) {
 	ts := httptest.NewServer(rt.Handler())
 	defer ts.Close()
 
-	status, res := postJSON(t, ts.URL+"/v1/search", searchBody(t, "remote-ds", q, k, tt))
+	status, res := postJSON(t, ts.URL+"/v1/datasets/remote-ds/search", searchBody(t, "remote-ds", q, k, tt))
 	if status != http.StatusOK || res["dataset"] != "remote-ds" {
 		t.Fatalf("remote round trip: status %d (%v)", status, res)
 	}
@@ -270,7 +275,7 @@ func TestRemoteShardRoundTripAndDown(t *testing.T) {
 
 	// Kill the backend: its datasets now answer 502 and stats mark it down.
 	backendTS.Close()
-	status, res = postJSON(t, ts.URL+"/v1/search", searchBody(t, "remote-ds", q, k, tt))
+	status, res = postJSON(t, ts.URL+"/v1/datasets/remote-ds/search", searchBody(t, "remote-ds", q, k, tt))
 	if status != http.StatusBadGateway {
 		t.Fatalf("down shard: status %d (%v), want 502", status, res)
 	}
@@ -356,7 +361,7 @@ func TestConcurrentShardedLoad(t *testing.T) {
 				return
 			}
 			ds := datasets[i%len(datasets)]
-			status, res := postJSON(t, ts.URL+"/v1/search", searchBody(t, ds, q, k, tt))
+			status, res := postJSON(t, ts.URL+"/v1/datasets/"+ds+"/search", searchBody(t, ds, q, k, tt))
 			if status != http.StatusOK {
 				t.Errorf("%s: status %d (%v)", ds, status, res)
 			}
