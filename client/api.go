@@ -402,15 +402,14 @@ type BatchResponse struct {
 
 // CacheStats is a snapshot of the prepared-state cache counters.
 type CacheStats struct {
-	Entries     int   `json:"entries"`
-	Capacity    int   `json:"capacity"`
-	CostUsed    int64 `json:"cost_used"`
-	MaxCost     int64 `json:"max_cost"`
-	Hits        int64 `json:"hits"`
-	Misses      int64 `json:"misses"`
-	Coalesced   int64 `json:"coalesced"`
-	Evictions   int64 `json:"evictions"`
-	Expirations int64 `json:"expirations"`
+	Entries   int   `json:"entries"`
+	Capacity  int   `json:"capacity"`
+	CostUsed  int64 `json:"cost_used"`
+	MaxCost   int64 `json:"max_cost"`
+	Hits      int64 `json:"hits"`
+	Misses    int64 `json:"misses"`
+	Coalesced int64 `json:"coalesced"`
+	Evictions int64 `json:"evictions"`
 }
 
 // Latency histogram schema: fixed log-scale buckets shared by every server,

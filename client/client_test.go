@@ -194,28 +194,40 @@ func TestSDKAgainstRouter(t *testing.T) {
 
 // TestHotKeysRoundTrip: keys prepared by ktcore/search surface through GET
 // /v1/datasets/{name}/hotkeys in replayable form — the working set a router
-// uses to pre-warm a freshly synced replica.
+// uses to pre-warm a freshly synced replica — with the engine each key was
+// prepared by.
 func TestHotKeysRoundTrip(t *testing.T) {
 	sdk, q, k, tt := liveServer(t)
 	ctx := context.Background()
-	if _, err := sdk.KTCore(ctx, "live", &client.SearchRequest{Q: q, K: k, T: tt}); err != nil {
-		t.Fatal(err)
+	const trussK = 3
+	for _, req := range []*client.SearchRequest{
+		{Q: q, K: k, T: tt},
+		{Q: q, K: trussK, T: tt, Algo: client.AlgoTruss},
+	} {
+		resp, err := sdk.KTCore(ctx, "live", req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.NoCommunity {
+			t.Fatalf("%s key has no community; the test needs a cached entry", req.Algo)
+		}
 	}
 	hot, err := sdk.HotKeys(ctx, "live")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hot.Dataset != "live" || len(hot.Keys) == 0 {
-		t.Fatalf("hot keys = %+v, want at least the ktcore key", hot)
+	if hot.Dataset != "live" || len(hot.Keys) != 2 {
+		t.Fatalf("hot keys = %+v, want the core and the truss key", hot)
 	}
-	found := false
+	found := map[client.Algo]bool{}
 	for _, hk := range hot.Keys {
-		if hk.K == k && hk.T == tt && len(hk.Q) == len(q) && hk.Algo == client.AlgoGlobal {
-			found = true
+		if hk.T == tt && len(hk.Q) == len(q) &&
+			(hk.Algo == client.AlgoGlobal && hk.K == k || hk.Algo == client.AlgoTruss && hk.K == trussK) {
+			found[hk.Algo] = true
 		}
 	}
-	if !found {
-		t.Fatalf("ktcore key missing from hot keys %+v", hot.Keys)
+	if !found[client.AlgoGlobal] || !found[client.AlgoTruss] {
+		t.Fatalf("hot keys %+v, want the core key (k=%d) and the truss key (k=%d)", hot.Keys, k, trussK)
 	}
 	if _, err := sdk.HotKeys(ctx, "ghost"); !client.IsNotFound(err) {
 		t.Fatalf("hot keys of unknown dataset: err=%v, want typed not_found", err)

@@ -1,5 +1,5 @@
 // Command benchgate compares two perf-trajectory JSON files produced by
-// `experiments -json` (e.g. the committed baseline BENCH_PR2.json vs a
+// `experiments -json` (e.g. the committed baseline BENCH_PR10.json vs a
 // freshly generated point) and fails when a matching record regressed
 // beyond the tolerance factor — benchstat-style old/new/delta gating over
 // the harness records, used by CI.
@@ -10,67 +10,24 @@
 // counts do. Records whose baseline wall-clock is below -min-seconds are
 // reported but never gate (they are noise-dominated).
 //
-//	benchgate -old BENCH_PR2.json -new /tmp/bench.json -factor 2.0
-//	benchgate -old a.json,b.json -new c.json,d.json -require-warm-speedup
+// Every service_latency record in -new is then checked against the
+// invariant table exp.ServiceGates: each row gates the records at its
+// scales, and a row that finds no record to gate fails, so a run that lost
+// a phase or a scale cannot pass by omission.
 //
-// -require-warm-speedup additionally asserts the service acceptance
-// invariants on the new point: a warm prepared-cache hit must be faster
-// than a cold preparation (metrics cold_p50_ms > warm_p50_ms) — for the
-// core engine and for the truss engine, whose requests flow through the
-// same cache since the Engine/Prepared unification — and the saturation
-// burst must have produced clean 429 rejections.
-//
-// -require-batch-amortization asserts the /v1/batch invariant: the
-// per-item cost of a batched warm membership request must be below the
-// same request sent standalone (metric batch_amortization > 1) — one
-// admission and one round trip amortized over the items.
-//
-// -require-snapshot-speedup asserts the control-plane invariant of the
-// snapshot format: registering a dataset from its snapshot must be faster
-// than building it from the spec (metrics register_snapshot_ms <
-// register_build_ms) — register time proportional to I/O, not G-tree
-// construction.
-//
-// -require-mmap-speedup asserts the zero-copy invariant of RSNAPv2: the
-// memory-mapped file register must undercut the buffered snapshot restore,
-// which must undercut building from the spec (register_mmap_ms <
-// register_snapshot_ms < register_build_ms), and the record must carry the
-// capacity axis (heap_bytes_per_dataset > 0) — registering is page faults,
-// and a resident dataset costs heap only for what cannot live on the
-// mapping. Tiny-scale records are skipped: a tiny image's restore is
-// dominated by the HTTP round trip, so buffered-vs-mmap there is noise;
-// the invariant gates on the capacity point (scale=small and up), where
-// the gap is physical.
-//
-// -require-incremental-speedup asserts the write-path invariant of live
-// mutable datasets: incrementally maintaining core/truss numbers through a
-// mutation batch must undercut re-running the full decompositions
-// (mutate_incremental_ms < mutate_full_ms), and the mixed read-write phase
-// must have recorded successful mutations (mixed_mutations > 0 with a
-// mixed_p99_ms). Tiny-scale records are skipped: a tiny graph's full
-// decomposition is microseconds, so incremental-vs-full there is noise; the
-// invariant gates where re-decomposition actually costs something.
-//
-// -require-standing asserts the push-path invariants of standing queries:
-// the mutation-to-event notify p99 must be recorded and bounded — the push
-// is one re-evaluation (a cold-prepare-sized job) plus SSE fanout, so p99
-// must stay within 100x the record's own cold p99 plus a 250ms absolute
-// allowance for scheduler jitter — and the burst sub-phase must show
-// coalescing: every burst batch is relevant (standing_burst_notified counts
-// them all), but the runner folds the backlog into fewer evaluations, so
-// standing_coalesce_ratio (notified/evals deltas scraped from /metrics)
-// must exceed 1. Tiny-scale records are skipped: a tiny re-evaluation can
-// complete between back-to-back mutations, so there is no backlog to fold
-// and the ratio there is noise; the invariant gates where an evaluation
-// outlasts a write.
+//	benchgate -old BENCH_PR10.json -new tiny1.json,tiny2.json,small.json -factor 3.0
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"sort"
 	"strings"
+
+	"roadsocial/internal/exp"
 )
 
 type record struct {
@@ -128,12 +85,6 @@ func main() {
 		newPaths   = flag.String("new", "", "candidate bench JSON file(s), comma separated")
 		factor     = flag.Float64("factor", 2.0, "fail when new wall-clock exceeds old * factor")
 		minSeconds = flag.Float64("min-seconds", 0.05, "baselines below this never gate (noise)")
-		warmCheck  = flag.Bool("require-warm-speedup", false, "assert the new service_latency point shows warm < cold and saturation 429s")
-		batchCheck = flag.Bool("require-batch-amortization", false, "assert the new service_latency point shows batched per-item cost below standalone (batch_amortization > 1)")
-		snapCheck  = flag.Bool("require-snapshot-speedup", false, "assert the new service_latency point shows snapshot register-time below build register-time")
-		mmapCheck  = flag.Bool("require-mmap-speedup", false, "assert the new service_latency point shows mmap register < buffered snapshot register < build register, with heap_bytes_per_dataset reported")
-		incrCheck  = flag.Bool("require-incremental-speedup", false, "assert the new service_latency point shows incremental core/truss maintenance below full recomputation, with mixed read-write metrics recorded")
-		standCheck = flag.Bool("require-standing", false, "assert the new service_latency point shows bounded standing-query notify p99 and an eval coalescing ratio above 1 under bursts")
 	)
 	flag.Parse()
 	if *oldPaths == "" || *newPaths == "" {
@@ -175,173 +126,51 @@ func main() {
 		os.Exit(2)
 	}
 
-	if *warmCheck {
-		ok := false
-		for _, n := range news {
-			if n.Experiment != "service_latency" || n.Metrics == nil {
-				continue
-			}
-			ok = true
-			cold, warm := n.Metrics["cold_p50_ms"], n.Metrics["warm_p50_ms"]
-			if !(warm > 0 && cold > warm) {
-				fmt.Fprintf(os.Stderr, "benchgate: warm p50 %.3fms not below cold p50 %.3fms\n", warm, cold)
-				failed = true
-			} else {
-				fmt.Printf("service warm/cold p50: %.3fms / %.3fms (%.1fx speedup)\n", warm, cold, cold/warm)
-			}
-			tCold, tWarm := n.Metrics["truss_cold_p50_ms"], n.Metrics["truss_warm_p50_ms"]
-			if !(tWarm > 0 && tCold > tWarm) {
-				fmt.Fprintf(os.Stderr, "benchgate: truss warm p50 %.3fms not below truss cold p50 %.3fms\n", tWarm, tCold)
-				failed = true
-			} else {
-				fmt.Printf("truss warm/cold p50: %.3fms / %.3fms (%.1fx speedup)\n", tWarm, tCold, tCold/tWarm)
-			}
-			if n.Metrics["saturated_429"] <= 0 {
-				fmt.Fprintln(os.Stderr, "benchgate: saturation burst produced no 429 rejections")
-				failed = true
-			}
-		}
-		if !ok {
-			fmt.Fprintln(os.Stderr, "benchgate: -require-warm-speedup set but no service_latency record with metrics in -new")
-			failed = true
-		}
-	}
-
-	if *batchCheck {
-		ok := false
-		for _, n := range news {
-			if n.Experiment != "service_latency" || n.Metrics == nil {
-				continue
-			}
-			ok = true
-			amort := n.Metrics["batch_amortization"]
-			single, item := n.Metrics["batch_single_p50_ms"], n.Metrics["batch_item_p50_ms"]
-			if !(amort > 1) {
-				fmt.Fprintf(os.Stderr, "benchgate: batch per-item p50 %.3fms not below standalone p50 %.3fms (amortization %.2fx)\n", item, single, amort)
-				failed = true
-			} else {
-				fmt.Printf("batch amortization: %.3fms standalone vs %.3fms batched per item (%.1fx)\n", single, item, amort)
-			}
-		}
-		if !ok {
-			fmt.Fprintln(os.Stderr, "benchgate: -require-batch-amortization set but no service_latency record with metrics in -new")
-			failed = true
-		}
-	}
-	if *snapCheck {
-		ok := false
-		for _, n := range news {
-			if n.Experiment != "service_latency" || n.Metrics == nil {
-				continue
-			}
-			ok = true
-			build, snap := n.Metrics["register_build_ms"], n.Metrics["register_snapshot_ms"]
-			if !(snap > 0 && build > snap) {
-				fmt.Fprintf(os.Stderr, "benchgate: snapshot register %.3fms not below build register %.3fms\n", snap, build)
-				failed = true
-			} else {
-				fmt.Printf("register from snapshot: %.3fms vs %.3fms build (%.1fx speedup)\n", snap, build, build/snap)
-			}
-		}
-		if !ok {
-			fmt.Fprintln(os.Stderr, "benchgate: -require-snapshot-speedup set but no service_latency record with metrics in -new")
-			failed = true
-		}
-	}
-	if *mmapCheck {
-		ok := false
-		for _, n := range news {
-			// Tiny images restore in one HTTP round trip either way; the
-			// mmap ordering only gates where the image is big enough for
-			// the copy-vs-fault gap to dominate (see package doc).
-			if n.Experiment != "service_latency" || n.Metrics == nil || n.Scale == "tiny" {
-				continue
-			}
-			ok = true
-			build, snap, mm := n.Metrics["register_build_ms"], n.Metrics["register_snapshot_ms"], n.Metrics["register_mmap_ms"]
-			if !(mm > 0 && snap > mm && build > snap) {
-				fmt.Fprintf(os.Stderr, "benchgate: register ordering violated: mmap %.3fms, snapshot %.3fms, build %.3fms (want mmap < snapshot < build)\n", mm, snap, build)
-				failed = true
-			} else {
-				fmt.Printf("register mmap/snapshot/build: %.3fms / %.3fms / %.3fms (%.1fx over buffered)\n", mm, snap, build, snap/mm)
-			}
-			if heap := n.Metrics["heap_bytes_per_dataset"]; heap <= 0 {
-				fmt.Fprintln(os.Stderr, "benchgate: heap_bytes_per_dataset missing or non-positive")
-				failed = true
-			} else {
-				fmt.Printf("heap per resident dataset: %.0f bytes\n", heap)
-			}
-		}
-		if !ok {
-			fmt.Fprintln(os.Stderr, "benchgate: -require-mmap-speedup set but no non-tiny service_latency record with metrics in -new")
-			failed = true
-		}
-	}
-	if *incrCheck {
-		ok := false
-		for _, n := range news {
-			// Tiny graphs re-decompose in microseconds; the incremental
-			// ordering only gates where a full recompute has real cost
-			// (see package doc).
-			if n.Experiment != "service_latency" || n.Metrics == nil || n.Scale == "tiny" {
-				continue
-			}
-			ok = true
-			incr, full := n.Metrics["mutate_incremental_ms"], n.Metrics["mutate_full_ms"]
-			if !(incr > 0 && full > incr) {
-				fmt.Fprintf(os.Stderr, "benchgate: incremental maintenance %.3fms not below full recompute %.3fms\n", incr, full)
-				failed = true
-			} else {
-				fmt.Printf("mutation maintenance incremental/full: %.3fms / %.3fms (%.1fx speedup)\n", incr, full, full/incr)
-			}
-			if n.Metrics["mixed_mutations"] <= 0 || n.Metrics["mixed_p99_ms"] <= 0 {
-				fmt.Fprintf(os.Stderr, "benchgate: mixed read-write phase missing (mixed_mutations %.0f, mixed_p99_ms %.3f)\n",
-					n.Metrics["mixed_mutations"], n.Metrics["mixed_p99_ms"])
-				failed = true
-			}
-		}
-		if !ok {
-			fmt.Fprintln(os.Stderr, "benchgate: -require-incremental-speedup set but no non-tiny service_latency record with metrics in -new")
-			failed = true
-		}
-	}
-	if *standCheck {
-		ok := false
-		for _, n := range news {
-			// A tiny re-evaluation finishes between back-to-back writes, so
-			// bursts leave no backlog to coalesce; the invariant gates where
-			// an evaluation outlasts a write (see package doc).
-			if n.Experiment != "service_latency" || n.Metrics == nil || n.Scale == "tiny" {
-				continue
-			}
-			ok = true
-			p99, cold := n.Metrics["standing_notify_p99_ms"], n.Metrics["cold_p99_ms"]
-			bound := 100*cold + 250
-			if !(p99 > 0 && p99 < bound) {
-				fmt.Fprintf(os.Stderr, "benchgate: standing notify p99 %.3fms not recorded or not bounded (want 0 < p99 < %.3fms = 100x cold p99 + 250ms)\n", p99, bound)
-				failed = true
-			} else {
-				fmt.Printf("standing notify p50/p99: %.3fms / %.3fms across %.0f subscribers\n",
-					n.Metrics["standing_notify_p50_ms"], p99, n.Metrics["standing_subscribers"])
-			}
-			ratio := n.Metrics["standing_coalesce_ratio"]
-			evals, notified := n.Metrics["standing_burst_evals"], n.Metrics["standing_burst_notified"]
-			if !(evals > 0 && ratio > 1) {
-				fmt.Fprintf(os.Stderr, "benchgate: standing burst did not coalesce: %.0f notifications, %.0f evals (ratio %.2f, want > 1)\n", notified, evals, ratio)
-				failed = true
-			} else {
-				fmt.Printf("standing burst coalescing: %.0f notifications folded into %.0f evals (%.1fx)\n", notified, evals, ratio)
-			}
-		}
-		if !ok {
-			fmt.Fprintln(os.Stderr, "benchgate: -require-standing set but no non-tiny service_latency record with metrics in -new")
-			failed = true
-		}
+	if !checkGates(os.Stdout, news, exp.ServiceGates) {
+		failed = true
 	}
 	if failed {
 		os.Exit(1)
 	}
 	fmt.Println("benchgate: ok")
+}
+
+// checkGates evaluates every gate against every service_latency record at
+// its scales, printing one line per evaluation (and per skipped record,
+// with the gate's reason), and reports whether all held. A gate that
+// evaluates no record fails.
+func checkGates(w io.Writer, recs map[string]record, gates []exp.Gate) bool {
+	keys := make([]string, 0, len(recs))
+	for k := range recs {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	ok := true
+	for _, g := range gates {
+		evaluated := 0
+		for _, k := range keys {
+			r := recs[k]
+			if r.Experiment != "service_latency" {
+				continue
+			}
+			if !g.GatesAt(r.Scale) {
+				fmt.Fprintf(w, "skip %-6s %-48s %s\n", r.Scale, g, g.Skip)
+				continue
+			}
+			evaluated++
+			detail, held := g.Eval(r.Metrics)
+			verdict := "ok  "
+			if !held {
+				verdict, ok = "FAIL", false
+			}
+			fmt.Fprintf(w, "%s %-6s %-48s %s\n", verdict, r.Scale, g, detail)
+		}
+		if evaluated == 0 {
+			fmt.Fprintf(w, "FAIL %-6s %-48s no service_latency record at %s\n", "-", g, strings.Join(g.Scales, ", "))
+			ok = false
+		}
+	}
+	return ok
 }
 
 func fatal(err error) {

@@ -113,7 +113,6 @@ func main() {
 		maxQueue     = flag.Int("max-queue", 0, "waiting requests beyond in-flight; 0 = 4x in-flight")
 		cacheCap     = flag.Int("cache", 256, "prepared-state cache entries per shard")
 		cacheCost    = flag.Int64("cache-cost", 0, "prepared-state cache weight budget (sum of cohesive-subgraph sizes); 0 = 1<<20")
-		cacheTTL     = flag.Duration("cache-ttl", 0, "prepared-state lifetime before rebuild; 0 = never expire")
 		timeout      = flag.Duration("timeout", 10*time.Second, "default per-request deadline")
 		maxTimeout   = flag.Duration("max-timeout", 60*time.Second, "cap on client-requested deadlines")
 		parallelism  = flag.Int("parallelism", 0, "per-search workers; 0 = GOMAXPROCS")
@@ -164,7 +163,6 @@ func main() {
 		MaxQueue:       *maxQueue,
 		CacheCapacity:  *cacheCap,
 		CacheMaxCost:   *cacheCost,
-		CacheTTL:       *cacheTTL,
 		DefaultTimeout: *timeout,
 		MaxTimeout:     *maxTimeout,
 		Parallelism:    *parallelism,

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -120,5 +121,52 @@ func TestPartitionsSmoke(t *testing.T) {
 	}
 	if len(tab.Rows) != len(SigmaValues) {
 		t.Fatalf("%d rows", len(tab.Rows))
+	}
+}
+
+// TestServiceLatencyRecordsGateMetrics runs the service_latency experiment
+// at tiny scale, as CI does, and checks that it records every metric the
+// invariant table names — a renamed metric fails here, not only in CI —
+// and that every phase row counts each request it sent exactly once.
+func TestServiceLatencyRecordsGateMetrics(t *testing.T) {
+	tab, err := ServiceLatency(Options{Scale: Tiny})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := tab.Metrics
+	for _, g := range ServiceGates {
+		for _, name := range g.metrics() {
+			if _, ok := m[name]; !ok {
+				t.Errorf("%s: metric %s not recorded", g, name)
+			}
+		}
+	}
+	for _, row := range tab.Rows {
+		var requests, ok, rejected, failed int
+		if _, err := fmt.Sscan(strings.Join(row[2:6], " "), &requests, &ok, &rejected, &failed); err != nil {
+			t.Fatalf("row %v: %v", row, err)
+		}
+		if requests != ok+rejected+failed || float64(requests) != m[row[0]+"_requests"] {
+			t.Errorf("row %v: requests %d, outcomes %d+%d+%d, metric %g", row, requests, ok, rejected, failed, m[row[0]+"_requests"])
+		}
+	}
+	for name, want := range map[string]float64{
+		"warm":                serviceWarmPasses * m["cold_requests"],
+		"truss_warm":          serviceWarmPasses * m["truss_cold_requests"],
+		"load":                serviceLoadWorkers * serviceLoadPerWork,
+		"openloop":            serviceOpenLoopReqs,
+		"batch_single":        serviceBatchRounds * serviceBatchItems,
+		"batch_item":          serviceBatchRounds,
+		"batch_parallel_item": serviceBatchRounds,
+		"mixed":               serviceMixedReqs,
+		"standing_notify":     serviceStandingRounds * (serviceStandingReads + 1),
+		"standing_burst":      serviceStandingBurstWriters * serviceStandingBurstPerW,
+		"mutate_incremental":  mutMaintRounds,
+		"register_build":      3,
+		"saturate":            serviceSaturateReqs,
+	} {
+		if got := m[name+"_requests"]; got != want || want == 0 {
+			t.Errorf("%s sent %g requests, want %g", name, got, want)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -10,7 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -23,18 +24,21 @@ import (
 	"roadsocial/internal/service"
 )
 
-// Service-latency workload shape: closed-loop warm load plus a cold phase
-// over distinct cache keys, the truss analogues, an open-loop Poisson
-// phase, a batch-amortization phase, and a saturation burst against a
-// deliberately tiny admission budget.
+// Service-latency workload shape. Every phase records its concurrency in
+// the bench record as <phase>_workers and <phase>_requests.
 const (
-	serviceWarmWorkers  = 4
-	serviceWarmPerWork  = 25
-	serviceColdKeys     = 6
+	// The cold/warm phase: serviceColdKeys distinct core keys (the first
+	// serviceTrussKeys of them again for truss), each sent once cold, then
+	// serviceWarmPasses sequential warm passes over the same keys.
+	serviceColdKeys   = 6
+	serviceTrussKeys  = 4
+	serviceWarmPasses = 3
+	// The load phase: serviceLoadWorkers closed-loop clients on one cached
+	// key, serviceLoadPerWork requests each.
+	serviceLoadWorkers  = 4
+	serviceLoadPerWork  = 25
 	serviceSaturateReqs = 16
 	serviceSigma        = 0.004
-	serviceTrussKeys    = 4
-	serviceTrussRounds  = 3
 	serviceOpenLoopReqs = 80
 	serviceBatchItems   = 8
 	serviceBatchRounds  = 12
@@ -60,23 +64,10 @@ const (
 )
 
 // ServiceLatency is the load-generator experiment for the query service
-// (cmd/macserver), driven end to end through the typed client SDK: it
-// starts the service in-process over one dataset and measures (a) cold
-// requests, each paying a full Prepare for a distinct (Q, k, t) key;
-// (b) warm closed-loop load on one shared key, where every request is a
-// prepared-cache hit; (c) the same cold/warm split for the truss engine,
-// whose requests flow through the same prepared cache; (d) an open-loop
-// phase — Poisson arrivals over persistent connections at roughly half the
-// measured warm capacity, the arrival process a public service actually
-// sees (closed loops self-throttle and understate queue pressure); (e) a
-// batch-amortization phase comparing N warm membership requests sent
-// individually against the same N sent as one /v1/batch (one admission, one
-// round trip — the per-item cost must drop); and (f) a saturation burst
-// against a 1-slot server, counting clean 429 rejections. The headline
-// numbers land in Table.Metrics (and from there in the -json bench
-// records): warm p50 measurably below cold p50 — for both engines — is the
-// cache paying off, and batch_amortization > 1 is the batch path paying
-// off.
+// (cmd/macserver), driven end to end through the typed client SDK. It
+// starts the service in-process over one dataset and runs servicePhases in
+// order; each phase appends its rows and metrics to the table (and from
+// there to the -json bench record), which ServiceGates then checks.
 func ServiceLatency(opts Options) (*Table, error) {
 	opts.defaults()
 	specs := opts.datasets()
@@ -89,21 +80,29 @@ func ServiceLatency(opts Options) (*Table, error) {
 		return nil, err
 	}
 	in.Net.Oracle = road.BuildGTree(in.Net.Road, 0)
-
-	tab := &Table{
-		Title:   fmt.Sprintf("Service latency (%s): cold vs warm prepared cache, batch amortization, saturation", spec.Name),
-		Header:  []string{"phase", "requests", "ok", "rejected_429", "p50_ms", "p99_ms"},
-		Metrics: map[string]float64{},
-	}
-
-	// Distinct query sets give distinct cache keys for the cold phase; the
-	// first doubles as the warm-phase key.
+	// Distinct query sets give distinct cache keys; the first doubles as
+	// the key of the load, batch, mixed and standing phases.
 	queries := in.Queries(DefaultK, in.TDefault, DefaultQSize, serviceColdKeys)
 	if len(queries) == 0 {
 		return nil, fmt.Errorf("exp: no feasible queries for %s", spec.Name)
 	}
+	r := &serviceRun{opts: opts, spec: spec, in: in, queries: queries, edge: [2]int32{-1, -1}}
+	for v := 0; v < in.Net.Social.N(); v++ {
+		if in.Net.Social.Degree(v) > 0 {
+			r.edge = [2]int32{int32(v), in.Net.Social.Neighbors(v)[0]}
+			break
+		}
+	}
+	if r.edge[0] < 0 {
+		return nil, fmt.Errorf("exp: %s has no social edge to toggle", spec.Name)
+	}
 	region := in.Region(serviceSigma)
-	regionSpec := &client.RegionSpec{Lo: region.Lo, Hi: region.Hi}
+	r.region = &client.RegionSpec{Lo: region.Lo, Hi: region.Hi}
+	r.tab = &Table{
+		Title:   fmt.Sprintf("Service latency (%s): cold vs warm prepared cache, load, batch amortization, writes, saturation", spec.Name),
+		Header:  []string{"phase", "workers", "requests", "ok", "rejected_429", "failed", "p50_ms", "p99_ms", "service_p50_ms"},
+		Metrics: map[string]float64{},
+	}
 
 	srv := service.New(service.Config{Parallelism: opts.Parallelism, MaxQueue: 1024})
 	if err := srv.AddDataset(spec.Name, in.Net); err != nil {
@@ -111,411 +110,454 @@ func ServiceLatency(opts Options) (*Table, error) {
 	}
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
+	r.url, r.sdk = ts.URL, client.New(ts.URL)
 
-	ctx := context.Background()
-	sdk := client.New(ts.URL)
-	searchReq := func(q []int32, k int, algo client.Algo) *client.SearchRequest {
-		return &client.SearchRequest{Q: q, K: k, T: in.TDefault, Region: regionSpec, Algo: algo}
-	}
-	// post runs one search through the SDK, reporting the HTTP status the
-	// way the raw wire would (200, or the APIError status) plus latency.
-	post := func(req *client.SearchRequest) (int, float64, error) {
-		start := time.Now()
-		_, err := sdk.Search(ctx, spec.Name, req)
-		ms := float64(time.Since(start).Microseconds()) / 1000
-		if err != nil {
-			if status := client.StatusOf(err); status != 0 {
-				return status, ms, nil
-			}
-			return 0, 0, err
-		}
-		return http.StatusOK, ms, nil
-	}
-
-	// Cold phase: every request prepares a fresh key.
-	var coldLat []float64
-	for _, q := range queries {
-		status, ms, err := post(searchReq(q, DefaultK, client.AlgoGlobal))
-		if err != nil {
+	for _, phase := range servicePhases {
+		if err := phase(r); err != nil {
 			return nil, err
 		}
-		if status == http.StatusOK {
-			coldLat = append(coldLat, ms)
-		}
 	}
-	tab.Rows = append(tab.Rows, latencyRow("cold", coldLat, 0))
+	return r.tab, nil
+}
 
-	// Warm phase: closed-loop concurrent load on one cached key.
-	warmReq := searchReq(queries[0], DefaultK, client.AlgoGlobal)
-	if status, _, err := post(warmReq); err != nil || status != http.StatusOK {
-		return nil, fmt.Errorf("exp: warm-up request failed (status %d, err %v)", status, err)
-	}
-	// Scrape the service's own cache-hit counter around the warm phase: the
-	// load generator knows exactly how many hits it is about to cause
-	// (every warm request is a prepared-cache hit), so the scraped delta
-	// cross-checks the /metrics pipeline against ground truth.
-	hitsBefore, err := scrapeCounter(ts.URL, "macserver_cache_hits_total")
+// servicePhases run in order: the open-loop phase offers half the rate the
+// load phase measured, and the write phases come after every read-only one.
+var servicePhases = []func(*serviceRun) error{
+	coldWarmPhase("", client.AlgoGlobal, DefaultK, serviceColdKeys),
+	// k is lowered to 3 for truss: a k-truss is strictly denser than a
+	// k-core, and the truss engine's per-deletion recomputation wants
+	// moderate community sizes.
+	coldWarmPhase("truss_", client.AlgoTruss, 3, serviceTrussKeys),
+	loadPhase,
+	openLoopPhase,
+	batchPhase,
+	mixedPhase,
+	standingPhase,
+	maintenancePhase,
+	registerPhase,
+	saturatePhase,
+}
+
+// serviceRun is what the service_latency phases share: one in-process
+// server over one dataset, the SDK client driving it, the run's cache keys,
+// a social edge the write phases toggle, and the table they fill.
+type serviceRun struct {
+	opts    Options
+	spec    DatasetSpec
+	in      *Instance
+	queries [][]int32
+	edge    [2]int32
+	region  *client.RegionSpec
+	url     string
+	sdk     *client.Client
+	tab     *Table
+}
+
+func (r *serviceRun) request(q []int32, k int, algo client.Algo) *client.SearchRequest {
+	return &client.SearchRequest{Q: q, K: k, T: r.in.TDefault, Region: r.region, Algo: algo}
+}
+
+// search sends one search through the SDK and reports its HTTP status (200,
+// or the APIError's; 0 when the request got no status at all), its
+// latency, and the response of a 200.
+func (r *serviceRun) search(req *client.SearchRequest) (int, float64, *client.SearchResponse) {
+	start := time.Now()
+	resp, err := r.sdk.Search(context.Background(), r.spec.Name, req)
+	ms := msSince(start)
 	if err != nil {
-		return nil, fmt.Errorf("exp: pre-warm /metrics scrape: %v", err)
+		return client.StatusOf(err), ms, nil
 	}
-	warmLat := make([][]float64, serviceWarmWorkers)
-	warmStart := time.Now()
-	var wg sync.WaitGroup
-	var warmErr atomic.Value
-	for w := 0; w < serviceWarmWorkers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < serviceWarmPerWork; i++ {
-				status, ms, err := post(warmReq)
-				if err != nil {
-					warmErr.Store(err)
-					return
+	return http.StatusOK, ms, resp
+}
+
+// tally is one phase's row: its concurrency (workers clients sending
+// requests in all, the shape of a load generator's run configuration), its
+// requests by outcome, and its samples — request latencies, or what else
+// the phase times, with server-side service times where it keeps them.
+// Library-level phases count calls as requests.
+type tally struct {
+	name    string
+	workers int
+
+	mu                           sync.Mutex
+	requests, ok, rejected, fail int
+	lat, svc                     []float64
+}
+
+// count tallies one request by its HTTP status and reports whether it was
+// answered (200). 429 is a rejection; any other status is a failure.
+func (t *tally) count(status int) bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.requests++
+	switch status {
+	case http.StatusOK:
+		t.ok++
+		return true
+	case http.StatusTooManyRequests:
+		t.rejected++
+	default:
+		t.fail++
+	}
+	return false
+}
+
+// add counts one request and keeps the latency of an answered one.
+func (t *tally) add(status int, ms float64) {
+	if t.count(status) {
+		t.mu.Lock()
+		t.lat = append(t.lat, ms)
+		t.mu.Unlock()
+	}
+}
+
+// record appends the phase's row and its metrics <name>_workers,
+// _requests, _failed, _p50_ms and _p99_ms, plus _service_p50_ms when the
+// phase kept service times.
+func (t *tally) record(tab *Table) {
+	p50, p99 := percentileMs(t.lat, 0.50), percentileMs(t.lat, 0.99)
+	row := []string{t.name, fmt.Sprint(t.workers), fmt.Sprint(t.requests), fmt.Sprint(t.ok),
+		fmt.Sprint(t.rejected), fmt.Sprint(t.fail), fmt.Sprintf("%.3f", p50), fmt.Sprintf("%.3f", p99), "-"}
+	m := tab.Metrics
+	if t.svc != nil {
+		m[t.name+"_service_p50_ms"] = percentileMs(t.svc, 0.50)
+		row[8] = fmt.Sprintf("%.3f", m[t.name+"_service_p50_ms"])
+	}
+	tab.Rows = append(tab.Rows, row)
+	m[t.name+"_workers"] = float64(t.workers)
+	m[t.name+"_requests"] = float64(t.requests)
+	m[t.name+"_failed"] = float64(t.fail)
+	m[t.name+"_p50_ms"], m[t.name+"_p99_ms"] = p50, p99
+}
+
+// coldWarmPhase measures what the prepared cache saves one engine. A
+// sequential cold pass sends each key once; every answer must be a cache
+// miss, which paid the full prepare (the Lemma 1 range query on the G-tree,
+// then the core or truss peel). serviceWarmPasses sequential passes then
+// resend the same keys; every answer must be a hit. Each answer's
+// server-side service time (SearchResponse.ElapsedMs: prepare plus search,
+// with no queue and no encode) is kept next to its latency. Cold and warm
+// compare only over keys answered on both sides, so a key that fails (say,
+// past the request deadline) drops out of both.
+func coldWarmPhase(prefix string, algo client.Algo, k, keys int) func(*serviceRun) error {
+	return func(r *serviceRun) error {
+		qs := r.queries[:min(keys, len(r.queries))]
+		cold := &tally{name: prefix + "cold", workers: 1}
+		warm := &tally{name: prefix + "warm", workers: 1}
+		// answers[i] holds key i's answered (latency, service time) pairs.
+		type answers [][][2]float64
+		pass := func(t *tally, by answers, want string) error {
+			for i, q := range qs {
+				status, ms, resp := r.search(r.request(q, k, algo))
+				if !t.count(status) {
+					continue
 				}
-				if status == http.StatusOK {
-					warmLat[w] = append(warmLat[w], ms)
+				if resp.Cache != want {
+					return fmt.Errorf("exp: %s key %d answered as a cache %s, want %s", t.name, i, resp.Cache, want)
 				}
+				by[i] = append(by[i], [2]float64{ms, resp.ElapsedMs})
 			}
-		}(w)
+			return nil
+		}
+		coldBy, warmBy := make(answers, len(qs)), make(answers, len(qs))
+		if err := pass(cold, coldBy, "miss"); err != nil {
+			return err
+		}
+		for p := 0; p < serviceWarmPasses; p++ {
+			if err := pass(warm, warmBy, "hit"); err != nil {
+				return err
+			}
+		}
+		keep := func(t *tally, by answers, i int) {
+			for _, a := range by[i] {
+				t.lat, t.svc = append(t.lat, a[0]), append(t.svc, a[1])
+			}
+		}
+		compared := 0
+		for i := range qs {
+			if len(coldBy[i]) > 0 && len(warmBy[i]) > 0 {
+				compared++
+				keep(cold, coldBy, i)
+				keep(warm, warmBy, i)
+			}
+		}
+		cold.record(r.tab)
+		warm.record(r.tab)
+		r.tab.Metrics[prefix+"keys_compared"] = float64(compared)
+		if w := r.tab.Metrics[warm.name+"_p50_ms"]; w > 0 {
+			r.tab.Metrics[prefix+"cold_over_warm_p50"] = r.tab.Metrics[cold.name+"_p50_ms"] / w
+		}
+		return nil
+	}
+}
+
+// loadPhase is closed-loop load on one cached key: serviceLoadWorkers
+// concurrent clients, serviceLoadPerWork requests each. Its latency
+// includes queueing behind the other clients; its throughput (load_qps)
+// sizes the open-loop phase. The service's own cache-hit counter is scraped
+// around it and must move by exactly the requests sent, which
+// cross-checks the /metrics pipeline against ground truth.
+func loadPhase(r *serviceRun) error {
+	req := r.request(r.queries[0], DefaultK, client.AlgoGlobal)
+	if status, _, _ := r.search(req); status != http.StatusOK {
+		return fmt.Errorf("exp: load warm-up request answered %d", status)
+	}
+	hitsBefore, err := scrapeCounter(r.url, "macserver_cache_hits_total")
+	if err != nil {
+		return fmt.Errorf("exp: pre-load /metrics scrape: %v", err)
+	}
+	t := &tally{name: "load", workers: serviceLoadWorkers}
+	start := time.Now()
+	var wg sync.WaitGroup
+	for w := 0; w < serviceLoadWorkers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < serviceLoadPerWork; i++ {
+				status, ms, _ := r.search(req)
+				t.add(status, ms)
+			}
+		}()
 	}
 	wg.Wait()
-	warmWall := time.Since(warmStart).Seconds()
-	if err, ok := warmErr.Load().(error); ok {
-		return nil, err
-	}
-	var warm []float64
-	for _, ls := range warmLat {
-		warm = append(warm, ls...)
-	}
-	tab.Rows = append(tab.Rows, latencyRow("warm", warm, 0))
-	hitsAfter, err := scrapeCounter(ts.URL, "macserver_cache_hits_total")
+	wall := time.Since(start).Seconds()
+	t.record(r.tab)
+	r.tab.Metrics["load_qps"] = float64(t.ok) / wall
+	hitsAfter, err := scrapeCounter(r.url, "macserver_cache_hits_total")
 	if err != nil {
-		return nil, fmt.Errorf("exp: post-warm /metrics scrape: %v", err)
+		return fmt.Errorf("exp: post-load /metrics scrape: %v", err)
 	}
-	const wantWarmHits = serviceWarmWorkers * serviceWarmPerWork
-	warmHits := hitsAfter - hitsBefore
-	tab.Metrics["warm_cache_hits_delta"] = warmHits
-	if int(warmHits) != wantWarmHits {
-		return nil, fmt.Errorf("exp: /metrics cache_hits_total moved by %g over the warm phase, want exactly %d",
-			warmHits, wantWarmHits)
+	hits := hitsAfter - hitsBefore
+	r.tab.Metrics["load_cache_hits_delta"] = hits
+	if int(hits) != t.requests {
+		return fmt.Errorf("exp: /metrics cache_hits_total moved by %g over the load phase, want exactly %d", hits, t.requests)
 	}
+	return nil
+}
 
-	// Truss phases: the same keys measured cold (each pays the range query
-	// plus the truss decomposition) and then warm over serviceTrussRounds
-	// repeat rounds (every request a prepared-cache hit). Cold and warm
-	// cover the identical key mix, so the split isolates exactly the
-	// prepared state the cache amortizes. k is lowered to 3: a k-truss is
-	// strictly denser than a k-core, and the truss engine's per-deletion
-	// recomputation wants moderate community sizes.
-	const trussK = 3
-	trussKeys := queries
-	if len(trussKeys) > serviceTrussKeys {
-		trussKeys = trussKeys[:serviceTrussKeys]
+// openLoopPhase offers Poisson arrivals at half the load phase's
+// throughput, over persistent connections (the SDK's client keeps them
+// alive). Unlike the closed loop — whose concurrency self-throttles to the
+// service's pace — arrivals here do not wait for completions, so queueing
+// delay under bursts shows up in the tail. Each arrival runs on its own
+// goroutine, so the phase's workers equal its requests.
+func openLoopPhase(r *serviceRun) error {
+	offered := r.tab.Metrics["load_qps"] / 2
+	if offered <= 0 {
+		return nil
 	}
-	var trussCold, trussWarm []float64
-	for _, q := range trussKeys {
-		status, ms, err := post(searchReq(q, trussK, client.AlgoTruss))
+	req := r.request(r.queries[0], DefaultK, client.AlgoGlobal)
+	t := &tally{name: "openloop", workers: serviceOpenLoopReqs}
+	rng := rand.New(rand.NewSource(r.opts.Seed))
+	var wg sync.WaitGroup
+	start := time.Now()
+	// Exponential inter-arrival times make the arrival process Poisson;
+	// the seeded rng keeps the trace reproducible. Arrivals are scheduled
+	// against absolute target times, not relative sleeps — per-sleep
+	// overshoot otherwise accumulates and silently throttles the offered
+	// rate well below its nominal value at sub-millisecond gaps. Here a
+	// late wake-up fires the overdue arrivals back to back, which is exactly
+	// what an open-loop burst looks like.
+	elapsed := 0.0
+	for i := 0; i < serviceOpenLoopReqs; i++ {
+		elapsed += rng.ExpFloat64() / offered
+		if d := time.Until(start.Add(time.Duration(elapsed * float64(time.Second)))); d > 0 {
+			time.Sleep(d)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			status, ms, _ := r.search(req)
+			t.add(status, ms)
+		}()
+	}
+	wg.Wait()
+	wall := time.Since(start).Seconds()
+	t.record(r.tab)
+	r.tab.Metrics["openloop_offered_qps"] = offered
+	r.tab.Metrics["openloop_achieved_qps"] = float64(t.ok) / wall
+	r.tab.Metrics["openloop_429"] = float64(t.rejected)
+	return nil
+}
+
+// batchPhase compares N warm membership requests sent one by one with the
+// same N sent as one /v1/batch, sequential and then "parallel": true.
+// Membership (ktcore) on a cached key is nearly free server-side, so the
+// comparison isolates what the batch endpoint amortizes — per-request
+// admission and transport. A batch's sample is its wall-clock over its
+// items; batch_amortization is the single/batch per-item p50 ratio. The
+// parallel batch widens into the admission semaphore's free slots; on a
+// single-core runner it degrades to the sequential path (that is the
+// contract), so its speedup is recorded but not gated.
+func batchPhase(r *serviceRun) error {
+	ctx := context.Background()
+	ktReq := &client.SearchRequest{Dataset: r.spec.Name, Q: r.queries[0], K: DefaultK, T: r.in.TDefault}
+	if _, err := r.sdk.KTCore(ctx, r.spec.Name, ktReq); err != nil {
+		return fmt.Errorf("exp: batch warm-up failed: %v", err)
+	}
+	items := make([]client.BatchItem, serviceBatchItems)
+	for i := range items {
+		items[i] = client.BatchItem{Op: client.OpKTCore, SearchRequest: *ktReq}
+	}
+	single := &tally{name: "batch_single", workers: 1}
+	batched := &tally{name: "batch_item", workers: 1}
+	parallel := &tally{name: "batch_parallel_item", workers: 1}
+	sendBatch := func(t *tally, par bool) error {
+		start := time.Now()
+		bresp, err := r.sdk.Batch(ctx, &client.BatchRequest{Items: items, Parallel: par})
 		if err != nil {
-			return nil, err
+			return err
 		}
-		if status == http.StatusOK {
-			trussCold = append(trussCold, ms)
+		if bresp.OK != serviceBatchItems {
+			return fmt.Errorf("exp: %s: %d/%d items ok", t.name, bresp.OK, serviceBatchItems)
 		}
+		t.add(http.StatusOK, msSince(start)/serviceBatchItems)
+		return nil
 	}
-	for round := 0; round < serviceTrussRounds; round++ {
-		for _, q := range trussKeys {
-			status, ms, err := post(searchReq(q, trussK, client.AlgoTruss))
-			if err != nil {
-				return nil, err
-			}
-			if status == http.StatusOK {
-				trussWarm = append(trussWarm, ms)
-			}
-		}
-	}
-	tab.Rows = append(tab.Rows, latencyRow("truss_cold", trussCold, 0))
-	tab.Rows = append(tab.Rows, latencyRow("truss_warm", trussWarm, 0))
-
-	// Open-loop phase: Poisson arrivals at ~half the measured warm
-	// capacity, over persistent connections (the SDK's client keeps them
-	// alive). Unlike the closed warm loop — whose concurrency
-	// self-throttles to the service's pace — arrivals here do not wait for
-	// completions, so queueing delay under bursts shows up in the tail.
-	rng := rand.New(rand.NewSource(opts.Seed))
-	offered := 0.0
-	if warmWall > 0 && len(warm) > 0 {
-		offered = float64(len(warm)) / warmWall / 2
-	}
-	var olLat []float64
-	var ol429 atomic.Int64
-	if offered > 0 {
-		var olMu sync.Mutex
-		var olWG sync.WaitGroup
-		olStart := time.Now()
-		// Exponential inter-arrival times make the arrival process Poisson;
-		// the seeded rng keeps the trace reproducible. Arrivals are
-		// scheduled against absolute target times, not relative sleeps —
-		// per-sleep overshoot otherwise accumulates and silently throttles
-		// the offered rate well below its nominal value at sub-millisecond
-		// gaps. Here a late wake-up fires the overdue arrivals back to back,
-		// which is exactly what an open-loop burst looks like.
-		elapsed := 0.0
-		for i := 0; i < serviceOpenLoopReqs; i++ {
-			elapsed += rng.ExpFloat64() / offered
-			target := olStart.Add(time.Duration(elapsed * float64(time.Second)))
-			if d := time.Until(target); d > 0 {
-				time.Sleep(d)
-			}
-			olWG.Add(1)
-			go func() {
-				defer olWG.Done()
-				status, ms, err := post(warmReq)
-				if err != nil {
-					return
-				}
-				switch status {
-				case http.StatusOK:
-					olMu.Lock()
-					olLat = append(olLat, ms)
-					olMu.Unlock()
-				case http.StatusTooManyRequests:
-					ol429.Add(1)
-				}
-			}()
-		}
-		olWG.Wait()
-		olWall := time.Since(olStart).Seconds()
-		tab.Rows = append(tab.Rows, latencyRow("openloop", olLat, ol429.Load()))
-		tab.Metrics["openloop_offered_qps"] = offered
-		if olWall > 0 {
-			tab.Metrics["openloop_achieved_qps"] = float64(len(olLat)) / olWall
-		}
-		tab.Metrics["openloop_p50_ms"] = percentileMs(olLat, 0.50)
-		tab.Metrics["openloop_p99_ms"] = percentileMs(olLat, 0.99)
-		tab.Metrics["openloop_429"] = float64(ol429.Load())
-	}
-
-	// Batch-amortization phase: N warm membership requests sent one by one
-	// versus the same N sent as one /v1/batch. Membership (ktcore) on a
-	// cached key is nearly free server-side, so the comparison isolates
-	// exactly what the batch endpoint amortizes — per-request admission and
-	// transport overhead. Per-item latency for a batch is wall-clock over
-	// items; amortization is the single/batch per-item ratio.
-	ktReq := &client.SearchRequest{Dataset: spec.Name, Q: queries[0], K: DefaultK, T: in.TDefault}
-	if _, err := sdk.KTCore(ctx, spec.Name, ktReq); err != nil {
-		return nil, fmt.Errorf("exp: batch warm-up failed: %v", err)
-	}
-	batchItems := make([]client.BatchItem, serviceBatchItems)
-	for i := range batchItems {
-		batchItems[i] = client.BatchItem{Op: client.OpKTCore, SearchRequest: *ktReq}
-	}
-	var singleItem, batchItem []float64
 	for round := 0; round < serviceBatchRounds; round++ {
 		for i := 0; i < serviceBatchItems; i++ {
 			start := time.Now()
-			if _, err := sdk.KTCore(ctx, spec.Name, ktReq); err != nil {
-				return nil, err
+			if _, err := r.sdk.KTCore(ctx, r.spec.Name, ktReq); err != nil {
+				return err
 			}
-			singleItem = append(singleItem, float64(time.Since(start).Microseconds())/1000)
+			single.add(http.StatusOK, msSince(start))
 		}
-		start := time.Now()
-		bresp, err := sdk.Batch(ctx, &client.BatchRequest{Items: batchItems})
-		if err != nil {
-			return nil, err
-		}
-		if bresp.OK != serviceBatchItems {
-			return nil, fmt.Errorf("exp: batch round %d: %d/%d items ok", round, bresp.OK, serviceBatchItems)
-		}
-		perItem := float64(time.Since(start).Microseconds()) / 1000 / serviceBatchItems
-		for i := 0; i < serviceBatchItems; i++ {
-			batchItem = append(batchItem, perItem)
+		if err := sendBatch(batched, false); err != nil {
+			return err
 		}
 	}
-	tab.Rows = append(tab.Rows, latencyRow("batch_single", singleItem, 0))
-	tab.Rows = append(tab.Rows, latencyRow("batch_item", batchItem, 0))
-	singleP50 := percentileMs(singleItem, 0.50)
-	batchP50 := percentileMs(batchItem, 0.50)
-	tab.Metrics["batch_single_p50_ms"] = singleP50
-	tab.Metrics["batch_item_p50_ms"] = batchP50
-	if batchP50 > 0 {
-		tab.Metrics["batch_amortization"] = singleP50 / batchP50
-	}
-
-	// Parallel-batch phase: the same warm membership batch with
-	// "parallel": true, which widens into the admission semaphore's free
-	// slots. On a single-core runner it degrades to the sequential path
-	// (that is the contract), so the per-item latency is recorded but not
-	// gated.
-	var parItem []float64
 	for round := 0; round < serviceBatchRounds; round++ {
-		start := time.Now()
-		bresp, err := sdk.Batch(ctx, &client.BatchRequest{Items: batchItems, Parallel: true})
-		if err != nil {
-			return nil, err
-		}
-		if bresp.OK != serviceBatchItems {
-			return nil, fmt.Errorf("exp: parallel batch round %d: %d/%d items ok", round, bresp.OK, serviceBatchItems)
-		}
-		perItem := float64(time.Since(start).Microseconds()) / 1000 / serviceBatchItems
-		for i := 0; i < serviceBatchItems; i++ {
-			parItem = append(parItem, perItem)
+		if err := sendBatch(parallel, true); err != nil {
+			return err
 		}
 	}
-	tab.Rows = append(tab.Rows, latencyRow("batch_parallel_item", parItem, 0))
-	parP50 := percentileMs(parItem, 0.50)
-	tab.Metrics["batch_parallel_item_p50_ms"] = parP50
-	if parP50 > 0 {
-		tab.Metrics["batch_parallel_speedup"] = batchP50 / parP50
+	for _, t := range []*tally{single, batched, parallel} {
+		t.record(r.tab)
 	}
+	m := r.tab.Metrics
+	if m["batch_item_p50_ms"] > 0 {
+		m["batch_amortization"] = m["batch_single_p50_ms"] / m["batch_item_p50_ms"]
+	}
+	if m["batch_parallel_item_p50_ms"] > 0 {
+		m["batch_parallel_speedup"] = m["batch_item_p50_ms"] / m["batch_parallel_item_p50_ms"]
+	}
+	return nil
+}
 
-	// Mixed read-write phase (90/10): warm searches interleaved with edge
-	// mutations through POST/DELETE /v1/datasets/{name}/edges. Every tenth
-	// request toggles one social edge (delete, then re-insert), so each
-	// write bumps the dataset version and invalidates whatever prepared
-	// state its subcore touches; the read latencies measure what a mostly-
-	// read workload pays for riding a live graph instead of a frozen one.
-	// The toggle pairs balance out, so the phase leaves the graph as found.
-	mu, mv := int32(-1), int32(-1)
-	for v := 0; v < in.Net.Social.N(); v++ {
-		if in.Net.Social.Degree(v) > 0 {
-			mu, mv = int32(v), in.Net.Social.Neighbors(v)[0]
-			break
-		}
-	}
-	if mu < 0 {
-		return nil, fmt.Errorf("exp: mixed phase found no social edge to toggle")
-	}
-	var mixedLat []float64
+// mixedPhase interleaves warm searches with edge mutations through
+// POST/DELETE /v1/datasets/{name}/edges (90/10). Every tenth request
+// toggles one social edge (delete, then re-insert), so each write bumps the
+// dataset version and invalidates whatever prepared state its subcore
+// touches; the read latencies measure what a mostly-read workload pays for
+// riding a live graph instead of a frozen one. The toggles pair up, so the
+// phase leaves the graph as found.
+func mixedPhase(r *serviceRun) error {
+	ctx := context.Background()
+	req := r.request(r.queries[0], DefaultK, client.AlgoGlobal)
+	edge := [][2]int32{r.edge}
+	t := &tally{name: "mixed", workers: 1}
 	mutations := 0
 	deleted := false
+	toggle := func() error {
+		var mresp *client.MutateResponse
+		var err error
+		if deleted {
+			mresp, err = r.sdk.Mutate(ctx, r.spec.Name, &client.MutateRequest{Inserts: edge})
+		} else {
+			mresp, err = r.sdk.DeleteEdges(ctx, r.spec.Name, edge)
+		}
+		if err != nil {
+			return fmt.Errorf("exp: mixed phase mutation: %v", err)
+		}
+		deleted = !deleted
+		mutations += mresp.Applied
+		return nil
+	}
 	for i := 0; i < serviceMixedReqs; i++ {
-		if (i+1)%serviceMixedWriteEvery == 0 {
-			var mresp *client.MutateResponse
-			var merr error
-			if deleted {
-				mresp, merr = sdk.Mutate(ctx, spec.Name, &client.MutateRequest{Inserts: [][2]int32{{mu, mv}}})
-			} else {
-				mresp, merr = sdk.DeleteEdges(ctx, spec.Name, [][2]int32{{mu, mv}})
-			}
-			if merr != nil {
-				return nil, fmt.Errorf("exp: mixed phase mutation %d: %v", i, merr)
-			}
-			deleted = !deleted
-			mutations += mresp.Applied
+		if (i+1)%serviceMixedWriteEvery != 0 {
+			status, ms, _ := r.search(req)
+			t.add(status, ms)
 			continue
 		}
-		status, ms, err := post(warmReq)
-		if err != nil {
-			return nil, err
+		if err := toggle(); err != nil {
+			return err
 		}
-		if status == http.StatusOK {
-			mixedLat = append(mixedLat, ms)
-		}
+		t.count(http.StatusOK)
 	}
 	if deleted {
 		// An odd toggle count ended with the edge removed; put it back.
-		if _, err := sdk.Mutate(ctx, spec.Name, &client.MutateRequest{Inserts: [][2]int32{{mu, mv}}}); err != nil {
-			return nil, err
+		if err := toggle(); err != nil {
+			return err
 		}
 	}
-	tab.Rows = append(tab.Rows, latencyRow("mixed_rw", mixedLat, 0))
-	tab.Metrics["mixed_p50_ms"] = percentileMs(mixedLat, 0.50)
-	tab.Metrics["mixed_p99_ms"] = percentileMs(mixedLat, 0.99)
-	tab.Metrics["mixed_mutations"] = float64(mutations)
+	t.record(r.tab)
+	r.tab.Metrics["mixed_mutations"] = float64(mutations)
+	return nil
+}
 
-	// Standing-query phase: serviceStandingSubs SSE subscribers on one
-	// registered query ride the same 90/10 mixed shape — per round,
-	// serviceStandingReads warm reads then one membership-changing write (a
-	// cut-and-restore toggle of one member's intra-community edges, self-
-	// inverse across round pairs). standing_notify measures mutation-ack to
-	// event-arrival per subscriber. Then a burst sub-phase fires cheap
-	// relevant writes from concurrent writers: every batch bumps
-	// standing_notified_total, but re-evaluations coalesce, so the scraped
-	// notified/evals delta ratio exceeds 1 — benchgate -require-standing
-	// gates that and a bounded notify p99.
-	if err := standingPhase(tab, sdk, ts.URL, spec.Name, in, queries[0]); err != nil {
-		return nil, err
-	}
-
-	// Incremental-vs-full maintenance: the library-level cost of keeping
-	// core and truss numbers current through one edge toggle (delete plus
-	// re-insert via mutate.Apply — the toggle is self-inverse, so the state
-	// is identical after every round) against recomputing both
-	// decompositions from scratch (mutate.InitState). Each side takes
-	// the min of a few rounds so the gap measured is algorithmic, not
-	// scheduler noise; benchgate -require-incremental-speedup gates
-	// incremental < full on non-tiny records.
-	maintSt := mutate.InitState(in.Net.Social, 0)
+// maintenancePhase compares, at library level, keeping core and truss
+// numbers current through one edge toggle (delete plus re-insert via
+// mutate.Apply — self-inverse, so the state is identical after every round)
+// with recomputing both decompositions from scratch (mutate.InitState).
+// Each side reports the min of its rounds, so the gap measured is
+// algorithmic, not scheduler noise.
+func maintenancePhase(r *serviceRun) error {
+	net := r.in.Net
+	st := mutate.InitState(net.Social, 0)
 	toggle := []mutate.Op{
-		{Kind: mutate.DeleteEdge, U: mu, V: mv},
-		{Kind: mutate.InsertEdge, U: mu, V: mv},
+		{Kind: mutate.DeleteEdge, U: r.edge[0], V: r.edge[1]},
+		{Kind: mutate.InsertEdge, U: r.edge[0], V: r.edge[1]},
 	}
-	incMs, fullMs := -1.0, -1.0
+	incr := &tally{name: "mutate_incremental", workers: 1}
+	full := &tally{name: "mutate_full", workers: 1}
 	for round := 0; round < mutMaintRounds; round++ {
 		start := time.Now()
-		if _, _, err := mutate.Apply(in.Net, maintSt, toggle); err != nil {
-			return nil, fmt.Errorf("exp: incremental maintenance round %d: %v", round, err)
+		if _, _, err := mutate.Apply(net, st, toggle); err != nil {
+			return fmt.Errorf("exp: incremental maintenance round %d: %v", round, err)
 		}
-		ms := float64(time.Since(start).Microseconds()) / 1000
-		if incMs < 0 || ms < incMs {
-			incMs = ms
-		}
+		incr.add(http.StatusOK, msSince(start))
 		start = time.Now()
-		mutate.InitState(in.Net.Social, 0)
-		ms = float64(time.Since(start).Microseconds()) / 1000
-		if fullMs < 0 || ms < fullMs {
-			fullMs = ms
-		}
+		mutate.InitState(net.Social, 0)
+		full.add(http.StatusOK, msSince(start))
 	}
-	tab.Metrics["mutate_incremental_ms"] = incMs
-	tab.Metrics["mutate_full_ms"] = fullMs
+	incr.record(r.tab)
+	full.record(r.tab)
+	r.tab.Metrics["mutate_incremental_ms"] = minOf(incr.lat)
+	r.tab.Metrics["mutate_full_ms"] = minOf(full.lat)
+	return nil
+}
 
-	// Snapshot-registration phase: register the same spec twice on a fresh
-	// server — building from the synthetic catalog (including the G-tree),
-	// then from a snapshot of that build — and compare the register times.
-	// Each mode takes the min of a few rounds, so the comparison measures
-	// the construction-vs-I/O gap rather than scheduler noise; benchgate
-	// -require-snapshot-speedup gates snapshot < build.
-	if err := snapshotRegisterPhase(tab, spec, opts); err != nil {
-		return nil, err
-	}
-
-	// Saturation burst: a 1-slot, 2-queue server must reject the excess
-	// with immediate 429s instead of queueing it all. A gated oracle holds
-	// the admitted searches mid-Prepare until every request of the burst
-	// has arrived, so the outcome (1 in-flight + 2 queued admitted, the
-	// rest rejected) does not depend on machine speed.
-	gate := &gatedOracle{inner: in.Net.Oracle, gate: make(chan struct{})}
-	gnet := *in.Net
+// saturatePhase bursts against a 1-slot, 2-queue server, which must reject
+// the excess with immediate 429s instead of queueing it all. A gated
+// oracle holds the admitted searches mid-prepare until every request of
+// the burst has arrived, so the outcome (1 in-flight + 2 queued admitted,
+// the rest rejected) does not depend on machine speed.
+func saturatePhase(r *serviceRun) error {
+	gate := &gatedOracle{inner: r.in.Net.Oracle, gate: make(chan struct{})}
+	gnet := *r.in.Net
 	gnet.Oracle = gate
-	tiny := service.New(service.Config{MaxInFlight: 1, MaxQueue: 2, Parallelism: opts.Parallelism})
-	if err := tiny.AddDataset(spec.Name, &gnet); err != nil {
-		return nil, err
+	tiny := service.New(service.Config{MaxInFlight: 1, MaxQueue: 2, Parallelism: r.opts.Parallelism})
+	if err := tiny.AddDataset(r.spec.Name, &gnet); err != nil {
+		return err
 	}
 	tts := httptest.NewServer(tiny.Handler())
 	defer tts.Close()
 	tinySDK := client.New(tts.URL, client.WithRetries(0))
-	var satOK, sat429 atomic.Int64
-	var satLat sync.Mutex
-	var satOKLat []float64
-	wg = sync.WaitGroup{}
+	t := &tally{name: "saturate", workers: serviceSaturateReqs}
+	var wg sync.WaitGroup
 	for i := 0; i < serviceSaturateReqs; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			req := searchReq(queries[i%len(queries)], DefaultK, "")
-			req.T = in.TDefault + float64(i)
+			req := r.request(r.queries[i%len(r.queries)], DefaultK, "")
+			req.T = r.in.TDefault + float64(i)
 			start := time.Now()
-			_, err := tinySDK.Search(ctx, spec.Name, req)
-			switch {
-			case err == nil:
-				satOK.Add(1)
-				satLat.Lock()
-				satOKLat = append(satOKLat, float64(time.Since(start).Microseconds())/1000)
-				satLat.Unlock()
-			case client.StatusOf(err) == http.StatusTooManyRequests:
-				sat429.Add(1)
+			_, err := tinySDK.Search(context.Background(), r.spec.Name, req)
+			status := http.StatusOK
+			if err != nil {
+				status = client.StatusOf(err)
 			}
+			t.add(status, msSince(start))
 		}(i)
 	}
 	// Release the gate once the whole burst is accounted for (admitted,
@@ -530,56 +572,34 @@ func ServiceLatency(opts Options) (*Table, error) {
 	}
 	close(gate.gate)
 	wg.Wait()
-	tab.Rows = append(tab.Rows, latencyRow("saturate", satOKLat, sat429.Load()))
-
-	coldP50 := percentileMs(coldLat, 0.50)
-	warmP50 := percentileMs(warm, 0.50)
-	tab.Metrics["cold_p50_ms"] = coldP50
-	tab.Metrics["cold_p99_ms"] = percentileMs(coldLat, 0.99)
-	tab.Metrics["warm_p50_ms"] = warmP50
-	tab.Metrics["warm_p99_ms"] = percentileMs(warm, 0.99)
-	if warmP50 > 0 {
-		tab.Metrics["cold_over_warm_p50"] = coldP50 / warmP50
-	}
-	trussColdP50 := percentileMs(trussCold, 0.50)
-	trussWarmP50 := percentileMs(trussWarm, 0.50)
-	tab.Metrics["truss_cold_p50_ms"] = trussColdP50
-	tab.Metrics["truss_warm_p50_ms"] = trussWarmP50
-	if trussWarmP50 > 0 {
-		tab.Metrics["truss_cold_over_warm_p50"] = trussColdP50 / trussWarmP50
-	}
-	if warmWall > 0 {
-		tab.Metrics["warm_qps"] = float64(len(warm)) / warmWall
-	}
-	tab.Metrics["saturated_429"] = float64(sat429.Load())
-	return tab, nil
+	t.record(r.tab)
+	r.tab.Metrics["saturated_429"] = float64(t.rejected)
+	return nil
 }
 
-// standingPhase registers one standing query on the warm key, attaches
+// standingPhase registers one standing query on the load key, attaches
 // serviceStandingSubs SSE subscribers, and measures the push path two ways.
-// Paced rounds: serviceStandingReads warm membership reads, then one
-// membership-changing mutation (severing or restoring every intra-community
-// edge of one non-anchor member — the member provably leaves, then provably
-// returns), recording mutation-ack to event-arrival at each subscriber.
-// Burst rounds: same-spot location moves of that member fired from
-// concurrent writers with no waiting reader; every batch is relevant, so
-// the scraped standing_notified_total delta counts them all, while the
-// coalescing runner folds the backlog into fewer standing_evals_total —
-// the delta ratio is the coalescing factor. Both sub-phases leave the
-// graph as found (the toggles pair up; the moves go nowhere).
-func standingPhase(tab *Table, sdk *client.Client, tsURL, name string, in *Instance, q []int32) error {
+// Paced rounds (standing_notify): serviceStandingReads warm membership
+// reads, then one membership-changing mutation (severing or restoring every
+// intra-community edge of one non-anchor member — the member provably
+// leaves, then provably returns); the samples are mutation-ack to
+// event-arrival at each subscriber. Burst rounds (standing_burst):
+// same-spot location moves of that member fired from concurrent writers
+// with no waiting reader; every batch is relevant, so the scraped
+// standing_notified_total delta counts them all, while the coalescing
+// runner folds the backlog into fewer standing_evals_total — the delta
+// ratio is the coalescing factor. Both sub-phases leave the graph as found
+// (the toggles pair up; the moves go nowhere).
+func standingPhase(r *serviceRun) error {
 	ctx := context.Background()
-	sq, err := sdk.CreateStandingQuery(ctx, name, &client.StandingQueryRequest{Q: q, K: DefaultK, T: in.TDefault})
+	sdk, name, q := r.sdk, r.spec.Name, r.queries[0]
+	sq, err := sdk.CreateStandingQuery(ctx, name, &client.StandingQueryRequest{Q: q, K: DefaultK, T: r.in.TDefault})
 	if err != nil {
 		return fmt.Errorf("exp: standing register: %v", err)
 	}
 	// The toggle victim: a non-anchor member with edges inside the
 	// community. Deleting all of them expels it from any k-core; inserting
 	// them back restores the original graph, so it rejoins.
-	anchor := map[int32]bool{}
-	for _, v := range q {
-		anchor[v] = true
-	}
 	inComm := map[int32]bool{}
 	for _, m := range sq.Members {
 		inComm[m] = true
@@ -587,28 +607,21 @@ func standingPhase(tab *Table, sdk *client.Client, tsURL, name string, in *Insta
 	victim := int32(-1)
 	var cut [][2]int32
 	for _, m := range sq.Members {
-		if anchor[m] {
+		if slices.Contains(q, m) {
 			continue
 		}
-		var edges [][2]int32
-		for _, w := range in.Net.Social.Neighbors(int(m)) {
+		for _, w := range r.in.Net.Social.Neighbors(int(m)) {
 			if inComm[w] {
-				edges = append(edges, [2]int32{m, w})
+				cut = append(cut, [2]int32{m, w})
 			}
 		}
-		if len(edges) > 0 {
-			victim, cut = m, edges
+		if len(cut) > 0 {
+			victim = m
 			break
 		}
 	}
 	if cut == nil {
 		return fmt.Errorf("exp: standing phase found no member to cut")
-	}
-	toggle := func(i int) *client.MutateRequest {
-		if i%2 == 0 {
-			return &client.MutateRequest{Deletes: cut}
-		}
-		return &client.MutateRequest{Inserts: cut}
 	}
 
 	subs := make([]*client.Subscription, serviceStandingSubs)
@@ -616,29 +629,30 @@ func standingPhase(tab *Table, sdk *client.Client, tsURL, name string, in *Insta
 		if subs[i], err = sdk.Subscribe(ctx, name, sq.ID, 0); err != nil {
 			return fmt.Errorf("exp: standing subscribe %d: %v", i, err)
 		}
+		defer subs[i].Close()
 	}
-	closeSubs := func() {
-		for _, sub := range subs {
-			sub.Close()
-		}
-	}
-	defer closeSubs()
 
 	// Paced rounds: the 90/10 shape with a waiting reader. Every write
 	// changes membership, so each round ends with exactly one delta fanned
-	// out to all subscribers; the notify latency is mutation-ack to arrival.
-	ktReq := &client.SearchRequest{Q: q, K: DefaultK, T: in.TDefault}
-	var notifyLat []float64
+	// out to all subscribers.
+	notify := &tally{name: "standing_notify", workers: 1}
+	ktReq := &client.SearchRequest{Q: q, K: DefaultK, T: r.in.TDefault}
 	for round := 0; round < serviceStandingRounds; round++ {
 		for i := 0; i < serviceStandingReads; i++ {
 			if _, err := sdk.KTCore(ctx, name, ktReq); err != nil {
 				return fmt.Errorf("exp: standing read: %v", err)
 			}
+			notify.count(http.StatusOK)
 		}
-		mres, err := sdk.Mutate(ctx, name, toggle(round))
+		toggle := &client.MutateRequest{Deletes: cut}
+		if round%2 == 1 {
+			toggle = &client.MutateRequest{Inserts: cut}
+		}
+		mres, err := sdk.Mutate(ctx, name, toggle)
 		if err != nil {
 			return fmt.Errorf("exp: standing mutation round %d: %v", round, err)
 		}
+		notify.count(http.StatusOK)
 		sent := time.Now()
 		for si, sub := range subs {
 			select {
@@ -650,16 +664,14 @@ func standingPhase(tab *Table, sdk *client.Client, tsURL, name string, in *Insta
 					return fmt.Errorf("exp: standing round %d subscriber %d: event %+v, want delta at version %d",
 						round, si, ev, mres.Version)
 				}
-				notifyLat = append(notifyLat, float64(time.Since(sent).Microseconds())/1000)
+				notify.lat = append(notify.lat, msSince(sent))
 			case <-time.After(30 * time.Second):
 				return fmt.Errorf("exp: standing round %d: subscriber %d event timed out", round, si)
 			}
 		}
 	}
-	tab.Rows = append(tab.Rows, latencyRow("standing_notify", notifyLat, 0))
-	tab.Metrics["standing_subscribers"] = serviceStandingSubs
-	tab.Metrics["standing_notify_p50_ms"] = percentileMs(notifyLat, 0.50)
-	tab.Metrics["standing_notify_p99_ms"] = percentileMs(notifyLat, 0.99)
+	notify.record(r.tab)
+	r.tab.Metrics["standing_subscribers"] = serviceStandingSubs
 
 	// Burst rounds: drain subscribers in the background and fire relevant
 	// writes from concurrent writers. Two pitfalls shape this sub-phase.
@@ -673,16 +685,20 @@ func standingPhase(tab *Table, sdk *client.Client, tsURL, name string, in *Insta
 	// the CPU-bound evaluations (on a single-core runner they time-slice the
 	// same CPU), so concurrent writers are what lands several installs per
 	// eval pass and builds the backlog the runner folds.
-	notifiedBefore, err := scrapeCounter(tsURL, "macserver_standing_notified_total")
+	notifiedBefore, err := scrapeCounter(r.url, "macserver_standing_notified_total")
 	if err != nil {
 		return fmt.Errorf("exp: pre-burst /metrics scrape: %v", err)
 	}
-	evalsBefore, err := scrapeCounter(tsURL, "macserver_standing_evals_total")
+	evalsBefore, err := scrapeCounter(r.url, "macserver_standing_evals_total")
 	if err != nil {
 		return fmt.Errorf("exp: pre-burst /metrics scrape: %v", err)
 	}
 	stopDrain := make(chan struct{})
 	var drainWG sync.WaitGroup
+	defer func() {
+		close(stopDrain)
+		drainWG.Wait()
+	}()
 	for _, sub := range subs {
 		drainWG.Add(1)
 		go func(sub *client.Subscription) {
@@ -699,12 +715,13 @@ func standingPhase(tab *Table, sdk *client.Client, tsURL, name string, in *Insta
 			}
 		}(sub)
 	}
-	loc := in.Net.Locs[victim]
+	loc := r.in.Net.Locs[victim]
 	move := client.LocationMove{User: victim, Vertex: loc.U}
 	if loc.U != loc.V {
 		move = client.LocationMove{User: victim, Edge: []int32{loc.U, loc.V}, Off: loc.Off}
 	}
 	moveReq := &client.MutateRequest{Moves: []client.LocationMove{move}}
+	burst := &tally{name: "standing_burst", workers: serviceStandingBurstWriters}
 	var burstWG sync.WaitGroup
 	var burstErr atomic.Value
 	var lastVersion atomic.Uint64
@@ -713,11 +730,13 @@ func standingPhase(tab *Table, sdk *client.Client, tsURL, name string, in *Insta
 		go func() {
 			defer burstWG.Done()
 			for i := 0; i < serviceStandingBurstPerW; i++ {
+				start := time.Now()
 				mres, err := sdk.Mutate(ctx, name, moveReq)
 				if err != nil {
 					burstErr.Store(err)
 					return
 				}
+				burst.add(http.StatusOK, msSince(start))
 				for {
 					v := lastVersion.Load()
 					if mres.Version <= v || lastVersion.CompareAndSwap(v, mres.Version) {
@@ -729,71 +748,59 @@ func standingPhase(tab *Table, sdk *client.Client, tsURL, name string, in *Insta
 	}
 	burstWG.Wait()
 	if err, ok := burstErr.Load().(error); ok {
-		close(stopDrain)
-		drainWG.Wait()
 		return fmt.Errorf("exp: standing burst mutation: %v", err)
 	}
-	burstMutations := serviceStandingBurstWriters * serviceStandingBurstPerW
 	// Convergence: the resource's version reaches the last write, then the
 	// eval counter goes quiet (a final no-op pass may still be in flight).
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		cur, err := sdk.StandingQuery(ctx, name, sq.ID)
 		if err != nil {
-			close(stopDrain)
-			drainWG.Wait()
 			return err
 		}
 		if cur.Version >= lastVersion.Load() {
 			break
 		}
 		if time.Now().After(deadline) {
-			close(stopDrain)
-			drainWG.Wait()
 			return fmt.Errorf("exp: standing burst never converged (resource at %d, want %d)", cur.Version, lastVersion.Load())
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	evalsAfter, err := scrapeCounter(tsURL, "macserver_standing_evals_total")
+	evalsAfter, err := scrapeCounter(r.url, "macserver_standing_evals_total")
 	for err == nil && time.Now().Before(deadline) {
 		time.Sleep(25 * time.Millisecond)
 		var again float64
-		if again, err = scrapeCounter(tsURL, "macserver_standing_evals_total"); err == nil && again == evalsAfter {
+		if again, err = scrapeCounter(r.url, "macserver_standing_evals_total"); err == nil && again == evalsAfter {
 			break
 		} else if err == nil {
 			evalsAfter = again
 		}
 	}
 	if err != nil {
-		close(stopDrain)
-		drainWG.Wait()
 		return fmt.Errorf("exp: post-burst /metrics scrape: %v", err)
 	}
-	notifiedAfter, err := scrapeCounter(tsURL, "macserver_standing_notified_total")
-	close(stopDrain)
-	drainWG.Wait()
+	notifiedAfter, err := scrapeCounter(r.url, "macserver_standing_notified_total")
 	if err != nil {
 		return fmt.Errorf("exp: post-burst /metrics scrape: %v", err)
 	}
-
-	notifiedDelta := notifiedAfter - notifiedBefore
-	evalsDelta := evalsAfter - evalsBefore
-	tab.Metrics["standing_burst_mutations"] = float64(burstMutations)
-	tab.Metrics["standing_burst_notified"] = notifiedDelta
-	tab.Metrics["standing_burst_evals"] = evalsDelta
-	if evalsDelta > 0 {
-		tab.Metrics["standing_coalesce_ratio"] = notifiedDelta / evalsDelta
+	burst.record(r.tab)
+	notified, evals := notifiedAfter-notifiedBefore, evalsAfter-evalsBefore
+	r.tab.Metrics["standing_burst_notified"] = notified
+	r.tab.Metrics["standing_burst_evals"] = evals
+	if evals > 0 {
+		r.tab.Metrics["standing_coalesce_ratio"] = notified / evals
 	}
-
-	closeSubs()
+	for _, sub := range subs {
+		sub.Close()
+	}
 	if err := sdk.DeleteStandingQuery(ctx, name, sq.ID); err != nil {
 		return fmt.Errorf("exp: standing teardown: %v", err)
 	}
 	return nil
 }
 
-// snapshotRegisterPhase measures three ways of registering the same
-// dataset, slowest to fastest, plus the heap it costs to hold:
+// registerPhase measures three ways of registering the same dataset,
+// slowest to fastest, plus the heap it costs to hold:
 //
 //	register_build    POST /v1/datasets/{name} with a synthetic spec —
 //	                  generation plus G-tree construction.
@@ -804,22 +811,21 @@ func standingPhase(tab *Table, sdk *client.Client, tsURL, name string, in *Insta
 //	                  the file — ReadSnapshotFile memory-maps the image and
 //	                  adopts the flat arrays in place; no decode, no copy.
 //
-// Each mode takes the min of a few rounds, so the comparison measures the
-// construction-vs-copy-vs-fault gap rather than scheduler noise; benchgate
-// -require-snapshot-speedup gates snapshot < build and
-// -require-mmap-speedup gates mmap < snapshot < build.
+// Each mode reports the min of its rounds as register_<mode>_ms, so the
+// comparison measures the construction-vs-copy-vs-fault gap rather than
+// scheduler noise.
 //
 // heap_bytes_per_dataset is the capacity axis: the post-GC heap delta of
 // holding one mmap-registered dataset resident. The flat slabs live on the
 // mapping, not the heap, so this is the marginal cost of one more dataset
 // on a box — the number that turns the bench trajectory into datasets-per-
 // gigabyte.
-func snapshotRegisterPhase(tab *Table, spec DatasetSpec, opts Options) error {
+func registerPhase(r *serviceRun) error {
 	loader := func(name string, dspec *service.DatasetSpec) (*mac.Network, uint64, error) {
 		if dspec.Snapshot != "" {
 			return service.LoadSpecFiles(name, dspec)
 		}
-		in, err := spec.Build(opts.Scale, DefaultD, opts.Seed)
+		in, err := r.spec.Build(r.opts.Scale, DefaultD, r.opts.Seed)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -838,36 +844,47 @@ func snapshotRegisterPhase(tab *Table, spec DatasetSpec, opts Options) error {
 	}
 	defer os.RemoveAll(dir)
 	snapPath := filepath.Join(dir, "snapbench.snap")
-
+	fromFile := func() error {
+		_, err := sdk.CreateDataset(ctx, "snapbench", &client.DatasetSpec{Snapshot: snapPath})
+		return err
+	}
+	// timed registers the dataset through create and records the time
+	// under t.
+	timed := func(t *tally, create func() error) error {
+		start := time.Now()
+		if err := create(); err != nil {
+			return fmt.Errorf("exp: %s: %v", t.name, err)
+		}
+		t.add(http.StatusOK, msSince(start))
+		return nil
+	}
+	drop := func() error { return sdk.DeleteDataset(ctx, "snapbench") }
+	build := &tally{name: "register_build", workers: 1}
+	snap := &tally{name: "register_snapshot", workers: 1}
+	mmap := &tally{name: "register_mmap", workers: 1}
 	// Build rounds are expensive (full generation + G-tree construction);
 	// the two restore paths are sub-millisecond, so they get extra rounds
 	// to tighten the min before the ordering invariant gates on it.
 	const rounds = 3
 	const ioRounds = 5
-	buildMs, snapMs, mmapMs := -1.0, -1.0, -1.0
 	for round := 0; round < rounds; round++ {
-		start := time.Now()
-		if _, err := sdk.CreateDataset(ctx, "snapbench", &client.DatasetSpec{Synthetic: spec.Name}); err != nil {
-			return fmt.Errorf("exp: snapshot phase build register: %v", err)
-		}
-		ms := float64(time.Since(start).Microseconds()) / 1000
-		if buildMs < 0 || ms < buildMs {
-			buildMs = ms
+		if err := timed(build, func() error {
+			_, err := sdk.CreateDataset(ctx, "snapbench", &client.DatasetSpec{Synthetic: r.spec.Name})
+			return err
+		}); err != nil {
+			return err
 		}
 		if round == 0 {
-			f, err := os.Create(snapPath)
-			if err != nil {
+			// The first build is the image the restore modes register.
+			var img bytes.Buffer
+			if err := srv.SaveSnapshot("snapbench", &img); err != nil {
 				return err
 			}
-			if err := srv.SaveSnapshot("snapbench", f); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
+			if err := os.WriteFile(snapPath, img.Bytes(), 0o600); err != nil {
 				return err
 			}
 		}
-		if err := sdk.DeleteDataset(ctx, "snapbench"); err != nil {
+		if err := drop(); err != nil {
 			return err
 		}
 	}
@@ -876,30 +893,23 @@ func snapshotRegisterPhase(tab *Table, spec DatasetSpec, opts Options) error {
 		if err != nil {
 			return err
 		}
-		start := time.Now()
-		_, err = sdk.CreateDatasetFromSnapshot(ctx, "snapbench", f)
+		err = timed(snap, func() error {
+			_, err := sdk.CreateDatasetFromSnapshot(ctx, "snapbench", f)
+			return err
+		})
 		f.Close()
 		if err != nil {
-			return fmt.Errorf("exp: snapshot phase snapshot register: %v", err)
+			return err
 		}
-		ms := float64(time.Since(start).Microseconds()) / 1000
-		if snapMs < 0 || ms < snapMs {
-			snapMs = ms
-		}
-		if err := sdk.DeleteDataset(ctx, "snapbench"); err != nil {
+		if err := drop(); err != nil {
 			return err
 		}
 	}
 	for round := 0; round < ioRounds; round++ {
-		start := time.Now()
-		if _, err := sdk.CreateDataset(ctx, "snapbench", &client.DatasetSpec{Snapshot: snapPath}); err != nil {
-			return fmt.Errorf("exp: snapshot phase mmap register: %v", err)
+		if err := timed(mmap, fromFile); err != nil {
+			return err
 		}
-		ms := float64(time.Since(start).Microseconds()) / 1000
-		if mmapMs < 0 || ms < mmapMs {
-			mmapMs = ms
-		}
-		if err := sdk.DeleteDataset(ctx, "snapbench"); err != nil {
+		if err := drop(); err != nil {
 			return err
 		}
 	}
@@ -910,33 +920,28 @@ func snapshotRegisterPhase(tab *Table, spec DatasetSpec, opts Options) error {
 	heapBytes := 0.0
 	for round := 0; round < rounds; round++ {
 		before := heapInUse()
-		if _, err := sdk.CreateDataset(ctx, "snapbench", &client.DatasetSpec{Snapshot: snapPath}); err != nil {
-			return fmt.Errorf("exp: snapshot phase heap register: %v", err)
+		if err := fromFile(); err != nil {
+			return fmt.Errorf("exp: heap register: %v", err)
 		}
 		if delta := heapInUse() - before; delta > 0 && (heapBytes == 0 || delta < heapBytes) {
 			heapBytes = delta
 		}
-		if err := sdk.DeleteDataset(ctx, "snapbench"); err != nil {
+		if err := drop(); err != nil {
 			return err
 		}
 	}
-	row := func(phase string, n int, ms float64) []string {
-		return []string{phase, fmt.Sprint(n), fmt.Sprint(n), "0",
-			fmt.Sprintf("%.3f", ms), fmt.Sprintf("%.3f", ms)}
+	m := r.tab.Metrics
+	for _, t := range []*tally{build, snap, mmap} {
+		t.record(r.tab)
+		m[t.name+"_ms"] = minOf(t.lat)
 	}
-	tab.Rows = append(tab.Rows, row("register_build", rounds, buildMs))
-	tab.Rows = append(tab.Rows, row("register_snapshot", ioRounds, snapMs))
-	tab.Rows = append(tab.Rows, row("register_mmap", ioRounds, mmapMs))
-	tab.Metrics["register_build_ms"] = buildMs
-	tab.Metrics["register_snapshot_ms"] = snapMs
-	tab.Metrics["register_mmap_ms"] = mmapMs
-	if snapMs > 0 {
-		tab.Metrics["snapshot_speedup"] = buildMs / snapMs
+	if m["register_snapshot_ms"] > 0 {
+		m["snapshot_speedup"] = m["register_build_ms"] / m["register_snapshot_ms"]
 	}
-	if mmapMs > 0 {
-		tab.Metrics["mmap_speedup"] = snapMs / mmapMs
+	if m["register_mmap_ms"] > 0 {
+		m["mmap_speedup"] = m["register_snapshot_ms"] / m["register_mmap_ms"]
 	}
-	tab.Metrics["heap_bytes_per_dataset"] = heapBytes
+	m["heap_bytes_per_dataset"] = heapBytes
 	return nil
 }
 
@@ -987,17 +992,6 @@ func (g *gatedOracle) QueryDistances(qs, us []road.Location, bound float64) ([]f
 	return g.inner.QueryDistances(qs, us, bound)
 }
 
-func latencyRow(phase string, lat []float64, rejected int64) []string {
-	return []string{
-		phase,
-		fmt.Sprint(len(lat) + int(rejected)),
-		fmt.Sprint(len(lat)),
-		fmt.Sprint(rejected),
-		fmt.Sprintf("%.3f", percentileMs(lat, 0.50)),
-		fmt.Sprintf("%.3f", percentileMs(lat, 0.99)),
-	}
-}
-
 // percentileMs reads the q-th percentile (nearest rank) of unsorted
 // latencies.
 func percentileMs(lat []float64, q float64) float64 {
@@ -1005,6 +999,19 @@ func percentileMs(lat []float64, q float64) float64 {
 		return 0
 	}
 	s := append([]float64(nil), lat...)
-	sort.Float64s(s)
+	slices.Sort(s)
 	return s[int(q*float64(len(s)-1))]
+}
+
+// minOf is the smallest of a phase's samples, 0 for none.
+func minOf(lat []float64) float64 {
+	if len(lat) == 0 {
+		return 0
+	}
+	return slices.Min(lat)
+}
+
+// msSince is the time since start in (fractional) milliseconds.
+func msSince(start time.Time) float64 {
+	return float64(time.Since(start).Microseconds()) / 1000
 }

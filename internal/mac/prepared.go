@@ -27,7 +27,7 @@ import (
 //
 // A Prepared is immutable apart from its internal region cache, which is
 // synchronized: any number of goroutines may call Search (and the
-// GlobalSearch/LocalSearch/KTCore conveniences) concurrently.
+// GlobalSearch/LocalSearch conveniences) concurrently.
 type Prepared struct {
 	eng Engine
 	net *Network
@@ -98,10 +98,6 @@ func (p *Prepared) Variant() Variant { return p.eng.Variant() }
 func (p *Prepared) Members() Community {
 	return append(Community(nil), p.members...)
 }
-
-// KTCore is Members under the core engine's historical name; it answers for
-// every variant.
-func (p *Prepared) KTCore() Community { return p.Members() }
 
 // Cost is the admission weight of this prepared state for cost-aware
 // caches: proportional to the cohesive subgraph's size, which bounds both

@@ -41,8 +41,8 @@ func TestPreparedMatchesOneShot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !communityEq(p.KTCore(), Community{0, 1, 2, 3, 4, 5, 6}) {
-		t.Fatalf("prepared kt-core = %v", p.KTCore())
+	if !communityEq(p.Members(), Community{0, 1, 2, 3, 4, 5, 6}) {
+		t.Fatalf("prepared kt-core = %v", p.Members())
 	}
 	regions := []*geom.Region{q.Region}
 	if r2, err := geom.NewBox([]float64{0.15, 0.25}, []float64{0.3, 0.35}); err == nil {

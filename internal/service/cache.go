@@ -7,7 +7,6 @@ import (
 	"math"
 	"sort"
 	"sync"
-	"time"
 
 	"roadsocial/client"
 	"roadsocial/internal/mac"
@@ -42,20 +41,19 @@ func prepKey(dataset string, gen uint64, variant mac.Variant, q []int32, k int, 
 }
 
 // cacheEntry is one cached (or in-flight) preparation. ready is closed once
-// p/err are set; waiters coalesce on it. cost and builtAt are set (under the
-// cache mutex) when the build completes; until then the entry weighs
-// nothing, so in-flight coalescing is never a casualty of weight pressure.
+// p/err are set; waiters coalesce on it. cost is set (under the cache mutex)
+// when the build completes; until then the entry weighs nothing, so
+// in-flight coalescing is never a casualty of weight pressure.
 // epoch is the builder's resolve-time invalidation epoch (see prepCache
 // epochs): an in-flight entry stamped with an older epoch than a new
 // caller's is a build against a network a mutation has since replaced.
 type cacheEntry struct {
-	key     string
-	ready   chan struct{}
-	p       *mac.Prepared
-	err     error
-	cost    int64
-	builtAt time.Time
-	epoch   uint64
+	key   string
+	ready chan struct{}
+	p     *mac.Prepared
+	err   error
+	cost  int64
+	epoch uint64
 }
 
 // prepCache is a weighted LRU cache of prepared states with single-flight
@@ -64,16 +62,12 @@ type cacheEntry struct {
 // size (mac.Prepared.Cost), and least-recently-used entries are evicted
 // while either the entry count exceeds capacity or the total weight exceeds
 // maxCost, so one huge kt-core displaces many cheap entries rather than
-// exactly one. Entries older than ttl expire: the next request rebuilds
-// them (for mutable datasets re-registered under the same name). An evicted
-// in-flight build still completes for its waiters — eviction only removes
-// the cache's reference.
+// exactly one. An evicted in-flight build still completes for its waiters —
+// eviction only removes the cache's reference.
 type prepCache struct {
 	mu       sync.Mutex
 	capacity int
 	maxCost  int64
-	ttl      time.Duration
-	now      func() time.Time          // injectable for TTL tests
 	costOf   func(*mac.Prepared) int64 // injectable for weighting tests
 	ll       *list.List                // front = most recently used; values are *cacheEntry
 	byKey    map[string]*list.Element
@@ -86,10 +80,10 @@ type prepCache struct {
 	// they resolved — it just isn't shared forward).
 	epochs map[string]uint64
 
-	hits, misses, coalesced, evictions, expirations int64
+	hits, misses, coalesced, evictions int64
 }
 
-func newPrepCache(capacity int, maxCost int64, ttl time.Duration) *prepCache {
+func newPrepCache(capacity int, maxCost int64) *prepCache {
 	if capacity < 1 {
 		capacity = 1
 	}
@@ -99,8 +93,6 @@ func newPrepCache(capacity int, maxCost int64, ttl time.Duration) *prepCache {
 	return &prepCache{
 		capacity: capacity,
 		maxCost:  maxCost,
-		ttl:      ttl,
-		now:      time.Now,
 		costOf:   entryCost,
 		ll:       list.New(),
 		byKey:    make(map[string]*list.Element),
@@ -151,16 +143,7 @@ func (c *prepCache) getOrBuild(key, dataset string, snapEpoch uint64, cancel <-c
 			// before an invalidation this caller has already observed.
 			stale = e.epoch < snapEpoch
 		}
-		switch {
-		case c.expiredLocked(e):
-			// Past its TTL: drop it and rebuild below, as a miss.
-			c.removeLocked(el)
-			c.expirations++
-		case stale:
-			// Evict and rebuild as a miss; the stale build still completes
-			// for the waiters it already has.
-			c.removeLocked(el)
-		default:
+		if !stale {
 			c.ll.MoveToFront(el)
 			select {
 			case <-e.ready:
@@ -176,6 +159,9 @@ func (c *prepCache) getOrBuild(key, dataset string, snapEpoch uint64, cancel <-c
 				return nil, true, mac.ErrCanceled
 			}
 		}
+		// Evict and rebuild as a miss; the stale build still completes for
+		// the waiters it already has.
+		c.removeLocked(el)
 	}
 	c.misses++
 	e := &cacheEntry{key: key, ready: make(chan struct{}), epoch: snapEpoch}
@@ -200,7 +186,6 @@ func (c *prepCache) getOrBuild(key, dataset string, snapEpoch uint64, cancel <-c
 	// while it ran) is dropped instead: it was prepared from a network a
 	// mutation has replaced, and the pass could not have examined it.
 	c.mu.Lock()
-	e.builtAt = c.now()
 	if cur, ok := c.byKey[key]; ok && cur == el {
 		if c.epochs[dataset] != snapEpoch {
 			c.removeLocked(el) // cost still 0: weight accounting unaffected
@@ -223,21 +208,6 @@ func (c *prepCache) epoch(dataset string) uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.epochs[dataset]
-}
-
-// expiredLocked reports whether a completed entry is past its TTL. In-flight
-// entries never expire (builtAt is unset until the build lands). Caller
-// holds c.mu.
-func (c *prepCache) expiredLocked(e *cacheEntry) bool {
-	if c.ttl <= 0 {
-		return false
-	}
-	select {
-	case <-e.ready:
-	default:
-		return false
-	}
-	return c.now().Sub(e.builtAt) > c.ttl
 }
 
 // removeLocked drops an entry and its weight. Caller holds c.mu.
@@ -329,10 +299,11 @@ func (c *prepCache) invalidate(dataset string, pred func(*mac.Prepared) bool, dr
 	return dropped
 }
 
-// hotKeys returns up to n of dataset's completed cache residents decoded
-// back into request parameters, most recently used first — the working set
-// worth replaying against a freshly synced replica to warm its cache.
-// In-flight and failed builds are skipped (replaying them proves nothing).
+// hotKeys returns up to n of dataset's completed cache residents as the
+// request parameters that produced them, most recently used first — the
+// working set worth replaying against a freshly synced replica to warm its
+// cache. In-flight, failed and negative builds are skipped (replaying them
+// proves nothing).
 func (c *prepCache) hotKeys(dataset string, n int) []client.HotKey {
 	prefix := dataset + "\x00"
 	c.mu.Lock()
@@ -348,50 +319,16 @@ func (c *prepCache) hotKeys(dataset string, n int) []client.HotKey {
 		default:
 			continue
 		}
-		if e.err != nil {
+		if e.err != nil || e.p == nil {
 			continue
 		}
-		if hk, ok := decodePrepKey(e.key[len(prefix):]); ok {
-			out = append(out, hk)
+		hk := client.HotKey{Q: append([]int32(nil), e.p.Q()...), K: e.p.K(), T: e.p.T(), Algo: client.AlgoGlobal}
+		if e.p.Variant() == mac.VariantTruss {
+			hk.Algo = client.AlgoTruss
 		}
+		out = append(out, hk)
 	}
 	return out
-}
-
-// decodePrepKey inverts the prepKey encoding past the dataset prefix:
-// gen(8) variant NUL k(4) t(8) qs(4 each).
-func decodePrepKey(rest string) (client.HotKey, bool) {
-	if len(rest) < 8 {
-		return client.HotKey{}, false
-	}
-	rest = rest[8:] // generation: cache-internal, not part of the request
-	nul := -1
-	for i := 0; i < len(rest); i++ {
-		if rest[i] == 0 {
-			nul = i
-			break
-		}
-	}
-	if nul < 0 {
-		return client.HotKey{}, false
-	}
-	variant := mac.Variant(rest[:nul])
-	rest = rest[nul+1:]
-	if len(rest) < 12 || (len(rest)-12)%4 != 0 {
-		return client.HotKey{}, false
-	}
-	hk := client.HotKey{
-		K:    int(binary.LittleEndian.Uint32([]byte(rest[:4]))),
-		T:    math.Float64frombits(binary.LittleEndian.Uint64([]byte(rest[4:12]))),
-		Algo: client.AlgoGlobal,
-	}
-	if variant == mac.VariantTruss {
-		hk.Algo = client.AlgoTruss
-	}
-	for off := 12; off < len(rest); off += 4 {
-		hk.Q = append(hk.Q, int32(binary.LittleEndian.Uint32([]byte(rest[off:off+4]))))
-	}
-	return hk, true
 }
 
 // cacheStats is a snapshot of the cache counters for /v1/stats, in the wire
@@ -402,14 +339,13 @@ func (c *prepCache) stats() cacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return cacheStats{
-		Entries:     c.ll.Len(),
-		Capacity:    c.capacity,
-		CostUsed:    c.costUsed,
-		MaxCost:     c.maxCost,
-		Hits:        c.hits,
-		Misses:      c.misses,
-		Coalesced:   c.coalesced,
-		Evictions:   c.evictions,
-		Expirations: c.expirations,
+		Entries:   c.ll.Len(),
+		Capacity:  c.capacity,
+		CostUsed:  c.costUsed,
+		MaxCost:   c.maxCost,
+		Hits:      c.hits,
+		Misses:    c.misses,
+		Coalesced: c.coalesced,
+		Evictions: c.evictions,
 	}
 }

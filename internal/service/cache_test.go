@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"roadsocial/internal/mac"
 )
@@ -15,7 +14,7 @@ import (
 // testCache returns an effectively unweighted cache (huge cost budget), the
 // shape the pre-weighting tests exercise.
 func testCache(capacity int) *prepCache {
-	return newPrepCache(capacity, 1<<40, 0)
+	return newPrepCache(capacity, 1<<40)
 }
 
 // TestPrepCacheSingleflight: concurrent requests for one key coalesce onto
@@ -104,7 +103,7 @@ func TestPrepCacheLRUEviction(t *testing.T) {
 // entry displaces several cheap ones, in LRU order, while the cheap ones
 // alone coexist under the same budget.
 func TestPrepCacheWeightedEviction(t *testing.T) {
-	c := newPrepCache(64, 10, 0)
+	c := newPrepCache(64, 10)
 	costs := map[*mac.Prepared]int64{}
 	c.costOf = func(p *mac.Prepared) int64 { return costs[p] }
 	builds := map[string]int{}
@@ -144,7 +143,7 @@ func TestPrepCacheWeightedEviction(t *testing.T) {
 // is still admitted (single-flight must produce an answer) and simply
 // evicts everything else; the next admission displaces it.
 func TestPrepCacheOversizeEntryAdmitted(t *testing.T) {
-	c := newPrepCache(64, 10, 0)
+	c := newPrepCache(64, 10)
 	costs := map[*mac.Prepared]int64{}
 	c.costOf = func(p *mac.Prepared) int64 { return costs[p] }
 	get := func(key string, cost int64) {
@@ -173,7 +172,7 @@ func TestPrepCacheOversizeEntryAdmitted(t *testing.T) {
 // immediate eviction of the new entry's predecessors, concurrent callers of
 // the same key still coalesce onto one build.
 func TestPrepCacheSingleflightUnderWeightPressure(t *testing.T) {
-	c := newPrepCache(64, 1, 0) // any real entry exceeds the budget
+	c := newPrepCache(64, 1) // any real entry exceeds the budget
 	costs := map[*mac.Prepared]int64{}
 	var costsMu sync.Mutex
 	c.costOf = func(p *mac.Prepared) int64 {
@@ -210,48 +209,6 @@ func TestPrepCacheSingleflightUnderWeightPressure(t *testing.T) {
 	wg.Wait()
 	if got := builds.Load(); got != 1 {
 		t.Fatalf("build ran %d times under weight pressure, want 1", got)
-	}
-}
-
-// TestPrepCacheTTLExpiry: entries past their TTL are rebuilt on the next
-// request; fresh entries are served from cache.
-func TestPrepCacheTTLExpiry(t *testing.T) {
-	c := newPrepCache(8, 1<<40, time.Minute)
-	now := time.Unix(1000, 0)
-	c.now = func() time.Time { return now }
-	builds := 0
-	get := func() (hit bool) {
-		t.Helper()
-		_, hit, err := c.getOrBuild("k", "", 0, nil, func() (*mac.Prepared, error) {
-			builds++
-			return &mac.Prepared{}, nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return hit
-	}
-	if get() {
-		t.Fatal("first request must build")
-	}
-	now = now.Add(30 * time.Second)
-	if !get() {
-		t.Fatal("within TTL must hit")
-	}
-	now = now.Add(2 * time.Minute)
-	if get() {
-		t.Fatal("past TTL must rebuild")
-	}
-	if builds != 2 {
-		t.Fatalf("builds = %d, want 2", builds)
-	}
-	st := c.stats()
-	if st.Expirations != 1 || st.Entries != 1 {
-		t.Fatalf("stats = %+v, want 1 expiration and 1 resident entry", st)
-	}
-	// Expired weight must have been released, not leaked.
-	if st.CostUsed != 1 {
-		t.Fatalf("cost used = %d after expiry cycle, want 1", st.CostUsed)
 	}
 }
 

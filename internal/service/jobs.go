@@ -29,8 +29,6 @@ import (
 // client talks to. Workers start lazily on the first submission, so a
 // server that never runs a job never pays the goroutines.
 type Jobs struct {
-	workers int
-
 	done   atomic.Int64 // jobs settled successfully
 	failed atomic.Int64 // jobs settled with an error (including cancels)
 
@@ -41,6 +39,11 @@ type Jobs struct {
 	order   []string // submission order, for listing and pruning
 	seq     uint64
 }
+
+// jobWorkers bounds concurrently executing jobs: control-plane work is heavy
+// and rare, and two workers let a long build overlap a quick one without
+// saturating the data plane's cores. Jobs beyond the bound queue.
+const jobWorkers = 2
 
 // maxQueuedJobs bounds submissions waiting for a worker; beyond it, Submit
 // answers ErrJobsSaturated (HTTP 429).
@@ -70,17 +73,11 @@ type jobTask struct {
 	cancel chan struct{}
 }
 
-// NewJobs creates a job manager with the given worker count (<= 0 selects
-// 2: control-plane work is heavy and rare, two workers let a long build
-// overlap a quick one without saturating the data plane's cores).
-func NewJobs(workers int) *Jobs {
-	if workers <= 0 {
-		workers = 2
-	}
+// NewJobs creates a job manager running jobWorkers workers.
+func NewJobs() *Jobs {
 	return &Jobs{
-		workers: workers,
-		queue:   make(chan *jobTask, maxQueuedJobs),
-		jobs:    make(map[string]*jobTask),
+		queue: make(chan *jobTask, maxQueuedJobs),
+		jobs:  make(map[string]*jobTask),
 	}
 }
 
@@ -108,7 +105,7 @@ func (m *Jobs) Submit(id, kind, dataset, requestID string, run JobFunc) (*client
 	m.mu.Lock()
 	if !m.started {
 		m.started = true
-		for i := 0; i < m.workers; i++ {
+		for i := 0; i < jobWorkers; i++ {
 			go m.worker()
 		}
 	}

@@ -69,8 +69,6 @@ func WriteProm(w io.Writer, sets []PromSet) error {
 			func(st client.Stats) float64 { return float64(st.Cache.Coalesced) }},
 		{"macserver_cache_evictions_total", "Prepared-cache evictions.",
 			func(st client.Stats) float64 { return float64(st.Cache.Evictions) }},
-		{"macserver_cache_expirations_total", "Prepared-cache TTL expirations.",
-			func(st client.Stats) float64 { return float64(st.Cache.Expirations) }},
 		{"macserver_standing_events_total", "Standing-query delta events published.",
 			func(st client.Stats) float64 { return float64(st.StandingEvents) }},
 		{"macserver_standing_lagged_total", "Standing-query subscribers dropped for lagging.",

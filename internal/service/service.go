@@ -73,10 +73,6 @@ type Config struct {
 	// kt-core displaces many cheap entries instead of exactly one. <= 0
 	// selects 1<<20 (a million member-vertices).
 	CacheMaxCost int64
-	// CacheTTL expires prepared states this long after they were built (the
-	// next request rebuilds them) — for deployments that re-register mutable
-	// datasets under the same name. <= 0 disables expiry.
-	CacheTTL time.Duration
 	// Parallelism is the per-search worker count when the request does not
 	// choose one; 0 selects GOMAXPROCS.
 	Parallelism int
@@ -84,10 +80,6 @@ type Config struct {
 	// "Authorization: Bearer <AuthToken>" on every /v1 route (401
 	// otherwise). The in-process Do/DoBatch entry points are not gated.
 	AuthToken string
-	// JobWorkers bounds concurrently executing control-plane jobs (async
-	// dataset creates); <= 0 selects 2. Jobs beyond the bound queue; a full
-	// queue answers 429.
-	JobWorkers int
 	// LoadSpec materializes a dataset for POST /v1/datasets/{name}, returning
 	// the network and its mutation version (0 for freshly built datasets;
 	// snapshot-backed specs report the snapshot's stamped version). Nil
@@ -128,9 +120,6 @@ type Config struct {
 	// subscriber this far behind is dropped with a lagged marker rather than
 	// blocking the publisher. <= 0 selects standing.DefaultSubBuffer.
 	StandingSubBuffer int
-	// StandingHeartbeat is the SSE heartbeat-comment interval keeping idle
-	// event streams alive through proxies; <= 0 selects 15s.
-	StandingHeartbeat time.Duration
 }
 
 func (c Config) withDefaults() Config {
@@ -160,9 +149,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.StandingDir == "" {
 		c.StandingDir = c.MutationLogDir
-	}
-	if c.StandingHeartbeat <= 0 {
-		c.StandingHeartbeat = 15 * time.Second
 	}
 	return c
 }
@@ -224,9 +210,9 @@ func New(cfg Config) *Server {
 		start:    time.Now(),
 		nets:     make(map[string]dsEntry),
 		regLocks: make(map[string]*nameLock),
-		cache:    newPrepCache(cfg.CacheCapacity, cfg.CacheMaxCost, cfg.CacheTTL),
+		cache:    newPrepCache(cfg.CacheCapacity, cfg.CacheMaxCost),
 		sem:      make(chan struct{}, cfg.MaxInFlight),
-		jobs:     NewJobs(cfg.JobWorkers),
+		jobs:     NewJobs(),
 		standing: standing.NewRegistry(standing.Config{
 			Dir:       cfg.StandingDir,
 			RingSize:  cfg.StandingRing,

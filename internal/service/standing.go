@@ -34,6 +34,10 @@ import (
 // RouteStandingEval labels standing re-evaluations in the keyed metrics.
 const RouteStandingEval = "standing_eval"
 
+// standingHeartbeat is the SSE heartbeat-comment interval keeping idle event
+// streams alive through proxies.
+const standingHeartbeat = 15 * time.Second
+
 // HeaderInternal marks a request originated by the shard router rather than
 // a client — currently the registration mirrors that pin the primary's
 // minted query id onto follower replicas. The router strips it from every
@@ -280,7 +284,7 @@ func (s *Server) serveStandingEvents(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	hb := time.NewTicker(s.cfg.StandingHeartbeat)
+	hb := time.NewTicker(standingHeartbeat)
 	defer hb.Stop()
 	ctx := r.Context()
 	for {

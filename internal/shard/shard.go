@@ -393,7 +393,7 @@ func NewRouter(backends []Backend, vnodes int) (*Router, error) {
 		backends:    backends,
 		byName:      byName,
 		ring:        ring,
-		jobs:        service.NewJobs(0),
+		jobs:        service.NewJobs(),
 		replication: 1,
 		down:        make([]atomic.Bool, len(backends)),
 		probes:      make([]probeState, len(backends)),
@@ -1732,7 +1732,6 @@ func (rt *Router) Stats() Stats {
 		tot.Cache.Misses += st.Cache.Misses
 		tot.Cache.Coalesced += st.Cache.Coalesced
 		tot.Cache.Evictions += st.Cache.Evictions
-		tot.Cache.Expirations += st.Cache.Expirations
 		tot.JobsDone += st.JobsDone
 		tot.JobsFailed += st.JobsFailed
 		tot.StandingQueries += st.StandingQueries

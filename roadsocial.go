@@ -232,16 +232,6 @@ func Prepare(net *Network, q *Query) (*Prepared, error) { return mac.Prepare(net
 // contract as Prepare.
 func PrepareTruss(net *Network, q *Query) (*Prepared, error) { return mac.PrepareTruss(net, q) }
 
-// PreparedSearch runs a search on a prepared state: GlobalSearch when
-// global is set, LocalSearch with opts otherwise. It is sugar over the
-// Prepared methods for callers that select the algorithm dynamically.
-func PreparedSearch(p *Prepared, q *Query, global bool, opts LocalOptions) (*Result, error) {
-	if global {
-		return p.GlobalSearch(q)
-	}
-	return p.LocalSearch(q, opts)
-}
-
 // LocalSearch runs the local search framework (LS-T / LS-NC): typically an
 // order of magnitude faster than GlobalSearch, sound (every reported cell
 // is correct) but not guaranteed complete.
