@@ -170,3 +170,25 @@ func TestServiceLatencyRecordsGateMetrics(t *testing.T) {
 		}
 	}
 }
+
+// TestPercentileNearestRank: percentileMs returns the ⌈q·n⌉-th smallest
+// sample, so a p99 over 100 or fewer samples is their maximum.
+func TestPercentileNearestRank(t *testing.T) {
+	six := []float64{5, 1, 6, 3, 2, 4}
+	if got := percentileMs(six, 0.50); got != 3 {
+		t.Errorf("p50 of 1..6 = %g, want 3", got)
+	}
+	if got := percentileMs(six, 0.99); got != 6 {
+		t.Errorf("p99 of 1..6 = %g, want 6", got)
+	}
+	many := make([]float64, 200)
+	for i := range many {
+		many[i] = float64(200 - i) // 200..1, unsorted
+	}
+	if got := percentileMs(many, 0.99); got != 198 {
+		t.Errorf("p99 of 1..200 = %g, want 198", got)
+	}
+	if got := percentileMs(nil, 0.99); got != 0 {
+		t.Errorf("p99 of no samples = %g, want 0", got)
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -992,15 +993,16 @@ func (g *gatedOracle) QueryDistances(qs, us []road.Location, bound float64) ([]f
 	return g.inner.QueryDistances(qs, us, bound)
 }
 
-// percentileMs reads the q-th percentile (nearest rank) of unsorted
-// latencies.
+// percentileMs reads the q-th percentile of unsorted latencies by nearest
+// rank: the ⌈q·n⌉-th smallest of n samples, so the p99 of 100 or fewer
+// samples is their maximum.
 func percentileMs(lat []float64, q float64) float64 {
 	if len(lat) == 0 {
 		return 0
 	}
 	s := append([]float64(nil), lat...)
 	slices.Sort(s)
-	return s[int(q*float64(len(s)-1))]
+	return s[int(math.Ceil(q*float64(len(s))))-1]
 }
 
 // minOf is the smallest of a phase's samples, 0 for none.

@@ -148,23 +148,6 @@ func TestParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestLocalOptionsParallelismOverride: LocalOptions.Parallelism wins over
-// Query.Parallelism, and both still produce identical output.
-func TestLocalOptionsParallelismOverride(t *testing.T) {
-	net := paperNetwork(t)
-	q := paperQuery(t, 2)
-	q.Parallelism = 1
-	seq, err := LocalSearch(net, q, LocalOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := LocalSearch(net, q, LocalOptions{Parallelism: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cellsIdentical(t, "LS override", seq.Cells, par.Cells)
-}
-
 // TestResultAtOutsideRegion: querying the result at a weight vector outside
 // R must return nil rather than a wrong cell.
 func TestResultAtOutsideRegion(t *testing.T) {

@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"sort"
 
-	"roadsocial/internal/conc"
-	"roadsocial/internal/geom"
-	"roadsocial/internal/road"
+	"roadsocial/internal/social"
 )
 
 // Variant names a structural-cohesiveness criterion. The paper's remark
@@ -28,8 +26,8 @@ const (
 type SearchMode int
 
 const (
-	// ModeGlobal is the exact DFS-based search (Algorithm 1 and its truss
-	// analogue) — every engine supports it.
+	// ModeGlobal is the exact DFS-based search (Algorithm 1, with the
+	// variant's deletion step) — every engine supports it.
 	ModeGlobal SearchMode = iota
 	// ModeLocal is the local search framework (Algorithms 3-5): faster,
 	// sound, not complete. Core-only.
@@ -125,23 +123,42 @@ func (coreEngine) seed(net *Network, q *Query) ([]int32, error) {
 }
 
 func (coreEngine) search(p *Prepared, rs *regionSpace, q *Query, opts SearchOptions) (*Result, error) {
-	ss := coreSpace(p.network(), rs, q)
+	ss := newSearchSpace(p.network(), rs, q, coreEngine{})
 	if opts.Mode == ModeLocal {
 		return localSearchOn(ss, q, opts.Local)
 	}
 	return globalSearchOn(ss, q)
 }
 
-// coreSpace assembles a per-run searchSpace over a resolved region space.
-// The returned space shares dag, hg, qLocal, and degBase read-only with
-// every concurrent run on the same region; stats are fresh per run.
-func coreSpace(net *Network, rs *regionSpace, q *Query) *searchSpace {
+func (coreEngine) rootSub(ss *searchSpace) *social.Sub {
+	return social.NewSub(ss.hg, allLocal(ss.dag.N()))
+}
+
+// deleteLeaf runs the k-core cascade of Algorithm 1's DFS procedure on a
+// pooled copy of the task's Sub.
+func (coreEngine) deleteLeaf(ss *searchSpace, t gsTask, u int32, sc *macScratch) ([]int32, *social.Sub, bool) {
+	sub := sc.getSub(t.sub)
+	batch, ok := sub.TryDeleteCascade(u, ss.query.K, ss.qLocal)
+	if !ok {
+		sc.putSub(sub)
+		return nil, nil, false
+	}
+	return batch, sub, true
+}
+
+// newSearchSpace assembles a per-run searchSpace over a resolved region
+// space, searched with the variant's deletion step. The returned space
+// shares dag, hg, qLocal, and degBase read-only with every concurrent run on
+// the same region; stats are fresh per run.
+func newSearchSpace(net *Network, rs *regionSpace, q *Query, del deletion) *searchSpace {
 	ss := &searchSpace{
-		net: net, query: q,
+		net: net, query: q, del: del,
 		dag: rs.dag, hg: rs.hg, qLocal: rs.qLocal, degBase: rs.degBase,
 	}
-	ss.stats.KTCoreSize = rs.hg.N()
-	ss.stats.KTCoreEdges = rs.hg.M()
+	ss.stats.KTCoreSize = rs.dag.N()
+	if rs.hg != nil {
+		ss.stats.KTCoreEdges = rs.hg.M()
+	}
 	ss.stats.DomGraphArcs = rs.arcs
 	return ss
 }
@@ -158,12 +175,13 @@ func prepare(net *Network, q *Query) (*searchSpace, error) {
 	if err != nil {
 		return nil, err
 	}
-	return coreSpace(net, rs, q), nil
+	return newSearchSpace(net, rs, q, coreEngine{}), nil
 }
 
-// trussVariant is the k-truss engine. Truss maintenance after a deletion is
-// implemented by recomputation (see trussEngine), so this variant suits
-// moderate community sizes; the core engine remains the fast path.
+// trussVariant is the k-truss engine. It runs Algorithm 1 on gsEngine like
+// the core engine; its deletion step recomputes the maximal connected
+// k-truss (see deleteLeaf), so this variant suits moderate community sizes
+// and the core engine remains the fast path.
 type trussVariant struct{}
 
 func (trussVariant) Variant() Variant      { return VariantTruss }
@@ -176,30 +194,11 @@ func (e trussVariant) Prepare(net *Network, q *Query) (*Prepared, error) {
 // seed computes the maximal connected k-truss containing Q after the Lemma 1
 // range filter — the truss analogue of the maximal (k,t)-core.
 func (trussVariant) seed(net *Network, q *Query) ([]int32, error) {
-	gs := net.Social
-	queryLocs := make([]road.Location, len(q.Q))
-	for i, v := range q.Q {
-		queryLocs[i] = net.Locs[v]
-	}
-	dq, err := net.oracle(q.Parallelism, q.Cancel).QueryDistances(queryLocs, net.Locs, q.T)
+	allowed, err := inRange(net, q.Q, q.T, q.Parallelism, q.Cancel)
 	if err != nil {
-		return nil, oracleErr(err)
+		return nil, err
 	}
-	// Checkpoint for oracles that ignore Cancel (e.g. GTree): stop before
-	// the truss decomposition instead of computing a result nobody wants.
-	if queryCancelled(q) {
-		return nil, ErrCanceled
-	}
-	allowed := make([]bool, gs.N())
-	for v := 0; v < gs.N(); v++ {
-		allowed[v] = dq[v] <= q.T
-	}
-	for _, v := range q.Q {
-		if !allowed[v] {
-			return nil, ErrNoCommunity
-		}
-	}
-	base := gs.MaximalConnectedKTruss(q.Q, q.K, allowed)
+	base := net.Social.MaximalConnectedKTruss(q.Q, q.K, allowed)
 	if base == nil {
 		return nil, ErrNoCommunity
 	}
@@ -211,19 +210,5 @@ func (trussVariant) search(p *Prepared, rs *regionSpace, q *Query, opts SearchOp
 	if opts.Mode != ModeGlobal {
 		return nil, fmt.Errorf("mac: the truss engine supports only the global search mode")
 	}
-	res := &Result{KTCore: sortedIDs(allLocal(rs.dag.N()), rs.dag.IDs)}
-	eng := &trussEngine{
-		net: p.network(), q: q, dag: rs.dag, qLocal: rs.qLocal,
-		j:   max(1, q.J),
-		par: conc.Parallelism(q.Parallelism),
-	}
-	eng.run(geom.NewCell(q.Region))
-	if queryCancelled(q) {
-		return nil, ErrCanceled
-	}
-	res.Cells = eng.results
-	res.Stats.KTCoreSize = rs.dag.N()
-	res.Stats.DomGraphArcs = rs.arcs
-	res.Stats.Partitions = len(eng.results)
-	return res, nil
+	return globalSearchOn(newSearchSpace(p.network(), rs, q, trussVariant{}), q)
 }

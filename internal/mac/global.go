@@ -91,15 +91,30 @@ func (e *gsEngine) pairHalfspace(a, b int32) *geom.Halfspace {
 }
 
 // gsTask mirrors one entry of queue U in Algorithm 1: the current community
-// H (as a Sub of the localized graph), the alive set of the shrunken
-// r-dominance graph Gd', the partition ρ, the deletion history I', and the
-// task's path in the search tree (for canonical output ordering).
+// H as the alive set of the shrunken r-dominance graph Gd' (plus the
+// deletion step's cascade state over H, if it keeps one), the partition ρ,
+// the deletion history I', and the task's path in the search tree (for
+// canonical output ordering).
 type gsTask struct {
 	sub     *social.Sub
 	alive   *bitset.Set
 	cell    *geom.Cell
 	batches [][]int32
 	path    []int32
+}
+
+// deletion is the one step of Algorithm 1 that depends on the cohesiveness
+// variant: deleting the smallest-score leaf u from a task's community H and
+// restoring the variant's maximal cohesive subgraph containing Q. coreEngine
+// and trussVariant implement it, and gsEngine drives both through it.
+type deletion interface {
+	// rootSub returns the cascade state of the whole search space, carried
+	// by the root task, or nil for a step that keeps none.
+	rootSub(ss *searchSpace) *social.Sub
+	// deleteLeaf returns the local vertices the deletion removes and the
+	// child task's cascade state. ok=false is Corollary 1's condition (2):
+	// no cohesive subgraph containing Q survives the deletion.
+	deleteLeaf(ss *searchSpace, t gsTask, u int32, sc *macScratch) (batch []int32, sub *social.Sub, ok bool)
 }
 
 // run executes the search over the given root cell starting from H_k^t.
@@ -125,11 +140,7 @@ func (e *gsEngine) run(root *geom.Cell) {
 		}
 		e.hp = newHPMemo(pairs, e.par > 1)
 	}
-	start := gsTask{
-		sub:   social.NewSub(e.ss.hg, allLocal(n)),
-		alive: alive,
-		cell:  root,
-	}
+	start := gsTask{sub: e.ss.del.rootSub(e.ss), alive: alive, cell: root}
 	scratches := newScratches(e.par)
 	conc.Tree(e.par, []gsTask{start}, func(worker int, t gsTask) []gsTask {
 		return e.step(t, scratches[worker])
@@ -201,16 +212,14 @@ func (e *gsEngine) step(t gsTask, sc *macScratch) []gsTask {
 		if containsLocal(e.ss.qLocal, u) {
 			// Corollary 1 condition (1): the smallest-score vertex is a
 			// query vertex; H is the non-contained MAC of this partition.
-			e.emit(gsTask{sub: t.sub, alive: t.alive, cell: cell, batches: t.batches, path: appendPath(t.path, int32(ci))}, sc)
+			e.emit(gsTask{alive: t.alive, cell: cell, batches: t.batches, path: appendPath(t.path, int32(ci))}, sc)
 			continue
 		}
-		sub2 := sc.getSub(t.sub)
-		batch, ok := sub2.TryDeleteCascade(u, e.ss.query.K, e.ss.qLocal)
+		batch, sub2, ok := e.ss.del.deleteLeaf(e.ss, t, u, sc)
 		if !ok {
-			// Corollary 1 condition (2): deletion destroys the k-ĉore
-			// containing Q.
-			sc.putSub(sub2)
-			e.emit(gsTask{sub: t.sub, alive: t.alive, cell: cell, batches: t.batches, path: appendPath(t.path, int32(ci))}, sc)
+			// Corollary 1 condition (2): deletion destroys the cohesive
+			// subgraph containing Q.
+			e.emit(gsTask{alive: t.alive, cell: cell, batches: t.batches, path: appendPath(t.path, int32(ci))}, sc)
 			continue
 		}
 		sc.stats.Deletions += len(batch)
@@ -247,7 +256,8 @@ func (e *gsEngine) smallestLeaf(leaves []int32, w []float64) int32 {
 // (each batch restores the vertices removed in one smallest-vertex step).
 func (e *gsEngine) emit(t gsTask, sc *macScratch) {
 	ranked := make([]Community, 0, e.j)
-	current := t.sub.Vertices() // local ids
+	current := make([]int32, 0, t.alive.Count()) // local ids
+	t.alive.ForEach(func(i int) bool { current = append(current, int32(i)); return true })
 	ranked = append(ranked, sortedIDs(current, e.ss.dag.IDs))
 	for r := 1; r < e.j && len(t.batches)-r >= 0; r++ {
 		idx := len(t.batches) - r

@@ -30,39 +30,16 @@ func KTCoreWithParallelism(net *Network, q []int32, k int, t float64, parallelis
 // threaded into the built-in range-filter oracle (0 = GOMAXPROCS).
 func ktCore(net *Network, q []int32, k int, t float64, parallelism int, cancel <-chan struct{}) ([]int32, error) {
 	gs := net.Social
-	// Range query (Lemma 1): query distance of every user, pruned at t.
-	queryLocs := make([]road.Location, len(q))
-	for i, v := range q {
-		queryLocs[i] = net.Locs[v]
-	}
-	dq, err := net.oracle(parallelism, cancel).QueryDistances(queryLocs, net.Locs, t)
+	allowed, err := inRange(net, q, t, parallelism, cancel)
 	if err != nil {
-		return nil, oracleErr(err)
+		return nil, err
 	}
-	// Checkpoint for oracles that ignore Cancel (e.g. GTree): stop before
-	// the core decomposition instead of computing a result nobody wants.
-	select {
-	case <-cancel:
-		return nil, ErrCanceled
-	default:
-	}
-	allowed := make([]bool, gs.N())
 	nAllowed, mAllowed := 0, 0
-	for v := 0; v < gs.N(); v++ {
-		if dq[v] <= t {
-			allowed[v] = true
-			nAllowed++
-		}
-	}
-	for _, v := range q {
-		if !allowed[v] {
-			return nil, ErrNoCommunity
-		}
-	}
 	for v := 0; v < gs.N(); v++ {
 		if !allowed[v] {
 			continue
 		}
+		nAllowed++
 		for _, w := range gs.Neighbors(v) {
 			if allowed[w] && int32(v) < w {
 				mAllowed++
@@ -79,4 +56,35 @@ func ktCore(net *Network, q []int32, k int, t float64, parallelism int, cancel <
 	}
 	sort.Slice(comp, func(i, j int) bool { return comp[i] < comp[j] })
 	return comp, nil
+}
+
+// inRange is the range query of Lemma 1, shared by every variant's seed: it
+// marks the users whose query distance to q is at most t. A query vertex out
+// of range leaves no community, so it returns ErrNoCommunity.
+func inRange(net *Network, q []int32, t float64, parallelism int, cancel <-chan struct{}) ([]bool, error) {
+	queryLocs := make([]road.Location, len(q))
+	for i, v := range q {
+		queryLocs[i] = net.Locs[v]
+	}
+	dq, err := net.oracle(parallelism, cancel).QueryDistances(queryLocs, net.Locs, t)
+	if err != nil {
+		return nil, oracleErr(err)
+	}
+	// Checkpoint for oracles that ignore Cancel (e.g. GTree): stop before
+	// the peel instead of computing a result nobody wants.
+	select {
+	case <-cancel:
+		return nil, ErrCanceled
+	default:
+	}
+	allowed := make([]bool, net.Social.N())
+	for v := range allowed {
+		allowed[v] = dq[v] <= t
+	}
+	for _, v := range q {
+		if !allowed[v] {
+			return nil, ErrNoCommunity
+		}
+	}
+	return allowed, nil
 }

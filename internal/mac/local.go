@@ -20,10 +20,6 @@ type LocalOptions struct {
 	// the answer lies far from Q on the expansion chain — e.g. when it is
 	// nearly the whole (k,t)-core.
 	NoSeeds bool
-	// Parallelism overrides Query.Parallelism for the local search phases
-	// (candidate generation, verification, LS-T refinement) when non-zero.
-	// <= 0 defers to the query's knob.
-	Parallelism int
 }
 
 // LocalSearch runs the local search framework (Algorithm 3): Expand
@@ -52,11 +48,7 @@ func LocalSearch(net *Network, q *Query, opts LocalOptions) (*Result, error) {
 // localSearchOn runs the local-search framework over an assembled search
 // space (one-shot or drawn from a Prepared handle).
 func localSearchOn(ss *searchSpace, q *Query, opts LocalOptions) (*Result, error) {
-	par := opts.Parallelism
-	if par <= 0 {
-		par = q.Parallelism
-	}
-	par = conc.Parallelism(par)
+	par := conc.Parallelism(q.Parallelism)
 	res := &Result{KTCore: sortedIDs(allLocal(ss.dag.N()), ss.dag.IDs)}
 
 	// Candidate generation: every generator is independent; slots keep the

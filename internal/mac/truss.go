@@ -4,10 +4,9 @@ import (
 	"sort"
 
 	"roadsocial/internal/bitset"
-	"roadsocial/internal/conc"
-	"roadsocial/internal/domgraph"
 	"roadsocial/internal/geom"
 	"roadsocial/internal/road"
+	"roadsocial/internal/social"
 )
 
 // GlobalSearchTruss is the k-truss variant of the MAC search, implementing
@@ -21,7 +20,8 @@ import (
 // search. Long-lived callers hold the Prepared handle instead and amortize
 // the range query and truss decomposition across searches.
 //
-// Like the k-core engines, independent search-tree branches run on
+// It runs the core engine's Algorithm 1 DFS (gsEngine) with the truss
+// deletion step, so independent search-tree branches run on
 // Query.Parallelism workers with canonically ordered output, and closing
 // Query.Cancel abandons the search at the next task boundary with
 // ErrCanceled.
@@ -33,149 +33,36 @@ func GlobalSearchTruss(net *Network, q *Query) (*Result, error) {
 	return p.Search(q, SearchOptions{Mode: ModeGlobal})
 }
 
-// trussEngine mirrors gsEngine with truss-recomputing deletions: independent
-// sub-cells of R are processed by par workers (conc.Tree), each emitting into
-// its own buffer; emits are merged in canonical task-tree path order, so
-// output is identical for every parallelism level. State per task is the
-// alive set in DAG-local indices.
-type trussEngine struct {
-	net     *Network
-	q       *Query
-	dag     *domgraph.DAG
-	qLocal  []int32
-	j       int
-	par     int
-	results []CellResult
-}
+func (trussVariant) rootSub(*searchSpace) *social.Sub { return nil }
 
-type trussTask struct {
-	alive   *bitset.Set
-	cell    *geom.Cell
-	batches [][]int32
-	path    []int32
-}
-
-func (e *trussEngine) run(root *geom.Cell) {
-	// Force the root cell's lazy witness evaluation before workers touch it
-	// concurrently (evaluated cells are read-only).
-	root.Witness()
-	n := e.dag.N()
-	alive := bitset.New(n)
-	for i := 0; i < n; i++ {
-		alive.Set(i)
-	}
-	emits := make([][]orderedCell, e.par)
-	conc.Tree(e.par, []trussTask{{alive: alive, cell: root}}, func(worker int, t trussTask) []trussTask {
-		return e.step(t, &emits[worker])
-	})
-	var all []orderedCell
-	for _, es := range emits {
-		all = append(all, es...)
-	}
-	sort.Slice(all, func(i, j int) bool { return pathLess(all[i].path, all[j].path) })
-	e.results = make([]CellResult, len(all))
-	for i, oc := range all {
-		e.results[i] = oc.cr
-	}
-}
-
-func (e *trussEngine) step(t trussTask, emits *[]orderedCell) []trussTask {
-	if queryCancelled(e.q) {
-		// Abandoned search: drop the task so the pool drains at the next
-		// boundary instead of finishing the DFS.
-		return nil
-	}
-	leaves := e.dag.Leaves(t.alive)
-	if len(leaves) == 0 {
-		e.emit(t, emits)
-		return nil
-	}
-	tree := geom.NewPartitionTree(t.cell)
-	for i := 0; i < len(leaves); i++ {
-		for j := i + 1; j < len(leaves); j++ {
-			tree.Insert(e.dag.Scores[leaves[i]].GEHalfspace(e.dag.Scores[leaves[j]]))
-		}
-	}
-	var out []trussTask
-	for ci, cell := range tree.Leaves() {
-		// Each cell may pay a full truss recomputation; polling here bounds
-		// cancellation latency by one cell, not one task.
-		if queryCancelled(e.q) {
-			break
-		}
-		w := cell.Witness()
-		if w == nil {
-			continue
-		}
-		u := leaves[0]
-		best := e.dag.Scores[u].At(w)
-		for _, l := range leaves[1:] {
-			if s := e.dag.Scores[l].At(w); s < best {
-				u, best = l, s
-			}
-		}
-		path := appendPath(t.path, int32(ci))
-		if containsLocal(e.qLocal, u) {
-			e.emit(trussTask{alive: t.alive, cell: cell, batches: t.batches, path: path}, emits)
-			continue
-		}
-		alive2, batch, ok := e.tryDelete(t.alive, u)
-		if !ok {
-			e.emit(trussTask{alive: t.alive, cell: cell, batches: t.batches, path: path}, emits)
-			continue
-		}
-		batches2 := make([][]int32, len(t.batches)+1)
-		copy(batches2, t.batches)
-		batches2[len(t.batches)] = batch
-		out = append(out, trussTask{alive: alive2, cell: cell, batches: batches2, path: path})
-	}
-	return out
-}
-
-// tryDelete removes local vertex u and recomputes the maximal connected
-// k-truss containing Q among the remaining vertices. It fails (ok=false)
-// when no such truss exists — the Corollary 1 analogue.
-func (e *trussEngine) tryDelete(alive *bitset.Set, u int32) (*bitset.Set, []int32, bool) {
-	gs := e.net.Social
+// deleteLeaf removes local vertex u and recomputes the maximal connected
+// k-truss containing Q among the task's remaining vertices. It fails
+// (ok=false) when no such truss exists — the Corollary 1 analogue.
+func (trussVariant) deleteLeaf(ss *searchSpace, t gsTask, u int32, _ *macScratch) ([]int32, *social.Sub, bool) {
+	gs := ss.net.Social
 	allowed := make([]bool, gs.N())
-	alive.ForEach(func(i int) bool {
+	t.alive.ForEach(func(i int) bool {
 		if int32(i) != u {
-			allowed[e.dag.IDs[i]] = true
+			allowed[ss.dag.IDs[i]] = true
 		}
 		return true
 	})
-	comp := gs.MaximalConnectedKTruss(e.q.Q, e.q.K, allowed)
+	comp := gs.MaximalConnectedKTruss(ss.query.Q, ss.query.K, allowed)
 	if comp == nil {
 		return nil, nil, false
 	}
-	alive2 := bitset.New(e.dag.N())
+	alive2 := bitset.New(ss.dag.N())
 	for _, v := range comp {
-		alive2.Set(int(e.dag.Local[v]))
+		alive2.Set(int(ss.dag.Local[v]))
 	}
 	var batch []int32
-	alive.ForEach(func(i int) bool {
+	t.alive.ForEach(func(i int) bool {
 		if !alive2.Test(i) {
 			batch = append(batch, int32(i))
 		}
 		return true
 	})
-	return alive2, batch, true
-}
-
-func (e *trussEngine) emit(t trussTask, emits *[]orderedCell) {
-	ranked := make([]Community, 0, e.j)
-	var current []int32
-	t.alive.ForEach(func(i int) bool { current = append(current, int32(i)); return true })
-	ranked = append(ranked, sortedIDs(current, e.dag.IDs))
-	for r := 1; r < e.j; r++ {
-		idx := len(t.batches) - r
-		if idx < 0 {
-			break
-		}
-		current = append(current, t.batches[idx]...)
-		ranked = append(ranked, sortedIDs(current, e.dag.IDs))
-	}
-	*emits = append(*emits, orderedCell{path: t.path, cr: CellResult{Cell: t.cell, Ranked: ranked}})
+	return batch, nil, true
 }
 
 // BruteForceTrussAt is the reference oracle for the truss variant at one

@@ -107,3 +107,30 @@ func TestTrussNoCommunity(t *testing.T) {
 		t.Fatalf("expected ErrNoCommunity, got %v", err)
 	}
 }
+
+// TestTrussStats: the truss search runs on the shared Algorithm 1 DFS, so
+// it fills the DFS's effort counters, and they do not depend on the
+// parallelism level.
+func TestTrussStats(t *testing.T) {
+	net := paperNetwork(t)
+	q := paperQuery(t, 2)
+	q.K = 4
+	q.Parallelism = 1
+	seq, err := GlobalSearchTruss(net, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := seq.Stats
+	if s.Hyperplanes == 0 || s.CellsExplored == 0 || s.Deletions == 0 {
+		t.Fatalf("truss effort counters not filled: %+v", s)
+	}
+	qp := *q
+	qp.Parallelism = 8
+	par, err := GlobalSearchTruss(net, &qp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if par.Stats != s {
+		t.Fatalf("truss stats differ:\nseq %+v\npar %+v", s, par.Stats)
+	}
+}

@@ -19,9 +19,10 @@ import (
 // shard pin — leaves a window where the dataset exists nowhere and every
 // request answers 404. The move job closes that window completely:
 //
-//  1. snapshot — export the dataset from the source shard (the versioned,
-//     checksummed snapshot; the built G-tree travels inside, so the target
-//     never rebuilds it). The source keeps serving throughout.
+//  1. snapshot — wait until every write registered before the claim has
+//     returned, then export the dataset from the source shard (the
+//     versioned, checksummed snapshot; the built G-tree travels inside, so
+//     the target never rebuilds it). The source keeps serving throughout.
 //  2. restore — upload the snapshot to the target shard. Both shards now
 //     hold the dataset; requests still route to the source.
 //  3. cutover — flip the assignment table under its lock (and, when
@@ -38,15 +39,17 @@ import (
 // A concurrently-querying client therefore sees only 2xx answers through
 // the whole move — no 404 gap, no 502 restart window — which is the
 // acceptance bar the looping-client test holds this code to. While the job
-// runs, creates and deletes of the dataset answer 409 (the job owns the
-// lifecycle), and SyncAssignments skips it (during the copy window both
-// shards hold it, and a background sync pinning the doomed source copy
+// runs, creates, deletes and mutations of the dataset answer 409 (the job
+// owns the lifecycle), and SyncAssignments skips it (during the copy window
+// both shards hold it, and a background sync pinning the doomed source copy
 // would undo the cutover).
 
-// moveDrainTimeout bounds the drain phase: if source-routed requests have
-// not returned by then, the job fails and the source copy is retained (two
-// live copies route correctly — the assignment already points at the
-// target — so failing safe costs memory, never availability).
+// moveDrainTimeout bounds the two waits of a move. If writes registered
+// before the claim have not returned by then, the job fails before copying
+// anything. If source-routed requests have not returned by then after the
+// cutover, the job fails and the source copy is retained (two live copies
+// route correctly — the assignment already points at the target — so
+// failing safe costs memory, never availability).
 const moveDrainTimeout = 60 * time.Second
 
 // serveMoveDataset handles POST /v1/datasets/{name}/move: validate the
@@ -185,8 +188,22 @@ func (rt *Router) runMove(name string, src, tgt int, planned []int, auth string,
 	}
 
 	progress("copy")
-	if chanClosed(cancel) {
-		return nil, mac.ErrCanceled
+	// A write registered before the claim may still be on its way to the
+	// source; a copy taken now would miss it.
+	deadline := time.Now().Add(moveDrainTimeout)
+	for {
+		if chanClosed(cancel) {
+			return nil, mac.ErrCanceled
+		}
+		n := rt.writesInFlight(name)
+		if n == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			return nil, fmt.Errorf("%d write(s) to %q still in flight after %v; nothing was moved",
+				n, name, moveDrainTimeout)
+		}
+		time.Sleep(time.Millisecond)
 	}
 	// The copy streams shard-to-shard through a pipe — the router never
 	// holds the snapshot in memory. A target that already has a copy (it
@@ -229,7 +246,7 @@ func (rt *Router) runMove(name string, src, tgt int, planned []int, auth string,
 	}
 
 	progress("drain")
-	deadline := time.Now().Add(moveDrainTimeout)
+	deadline = time.Now().Add(moveDrainTimeout)
 	for rt.routedInFlight(name, src) > 0 {
 		if time.Now().After(deadline) {
 			// Fail the job visibly but keep working: the assignment already

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -342,5 +343,108 @@ func TestResyncOnPeerRecovery(t *testing.T) {
 	resp.Body.Close()
 	if rt.OwnerIndex(name) != 1 {
 		t.Fatal("healthz probe did not re-sync the recovered peer")
+	}
+}
+
+// raceBackend holds a dataset's edges POST until the shard has served a
+// snapshot export (or about 3 s pass without one), and holds the dataset's
+// DELETE until that write has returned: the interleaving in which a write
+// checked the move claim before a move took it, and reached the source
+// after the move's copy.
+type raceBackend struct {
+	Backend
+	arrived, exported, written chan struct{}
+	arriveOnce, exportOnce     sync.Once
+}
+
+func (b *raceBackend) ServeAPI(w http.ResponseWriter, r *http.Request) {
+	switch {
+	case r.Method == http.MethodPost && strings.HasSuffix(r.URL.Path, "/edges"):
+		b.arriveOnce.Do(func() { close(b.arrived) })
+		select {
+		case <-b.exported:
+		case <-time.After(3 * time.Second):
+		}
+		b.Backend.ServeAPI(w, r)
+		close(b.written)
+		return
+	case r.Method == http.MethodGet && strings.HasSuffix(r.URL.Path, "/snapshot"):
+		b.Backend.ServeAPI(w, r)
+		b.exportOnce.Do(func() { close(b.exported) })
+		return
+	case r.Method == http.MethodDelete && !strings.HasSuffix(r.URL.Path, "/edges"):
+		select {
+		case <-b.written:
+		case <-time.After(10 * time.Second):
+		}
+	}
+	b.Backend.ServeAPI(w, r)
+}
+
+// TestMoveKeepsRacingWrite: a write that races a move is either refused or
+// carried to the target. The write reaches the source while the move
+// starts; the router must not acknowledge it and then serve the moved
+// dataset without it.
+func TestMoveKeepsRacingWrite(t *testing.T) {
+	net, q, k, tt := testNetwork(t)
+	_, locals := moveRouter(t, net)
+	rb := make([]*raceBackend, len(locals))
+	backends := make([]Backend, len(locals))
+	for i, l := range locals {
+		rb[i] = &raceBackend{Backend: l, arrived: make(chan struct{}), exported: make(chan struct{}), written: make(chan struct{})}
+		backends[i] = rb[i]
+	}
+	rt, err := NewRouter(backends, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(rt.Handler())
+	defer ts.Close()
+	ctx := context.Background()
+	sdk := client.New(ts.URL, client.WithRetries(0))
+	if _, err := sdk.CreateDataset(ctx, "mover", &client.DatasetSpec{}); err != nil {
+		t.Fatal(err)
+	}
+	src := rt.OwnerIndex("mover")
+	var iu, iv int32 = -1, -1
+	for v := 1; v < net.Social.N() && iu < 0; v++ {
+		if !net.Social.HasEdge(0, v) {
+			iu, iv = 0, int32(v)
+		}
+	}
+	if iu < 0 {
+		t.Fatal("no missing edge in test network")
+	}
+
+	type mutateResult struct {
+		res *client.MutateResponse
+		err error
+	}
+	done := make(chan mutateResult, 1)
+	go func() {
+		res, err := sdk.Mutate(ctx, "mover", &client.MutateRequest{Inserts: [][2]int32{{iu, iv}}})
+		done <- mutateResult{res, err}
+	}()
+	<-rb[src].arrived
+	job, err := sdk.MoveDataset(ctx, "mover", locals[1-src].Name())
+	if err != nil {
+		t.Fatalf("move submit: %v", err)
+	}
+	if _, err := sdk.WaitJob(ctx, job.ID, 5*time.Millisecond); err != nil {
+		t.Fatalf("move job: %v", err)
+	}
+	m := <-done
+	if m.err != nil {
+		if client.IsConflict(m.err) {
+			return // refused, never acknowledged
+		}
+		t.Fatalf("mutate: %v", m.err)
+	}
+	got, err := sdk.KTCore(ctx, "mover", &client.SearchRequest{Q: q, K: k, T: tt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Version < m.res.Version {
+		t.Fatalf("write acknowledged at version %d, moved dataset serves version %d", m.res.Version, got.Version)
 	}
 }

@@ -333,7 +333,12 @@ type Router struct {
 	// a concurrent move's cutover just replaced.
 	assignGen uint64
 	moving    map[string]bool
-	syncing   map[string]bool // datasets with a replicate job in flight
+	// writes counts each dataset's mutations and deletes in flight. A write
+	// registers in the same critical section that checks moving, and a move
+	// waits for the count to reach zero before it copies, so no write can
+	// land on the source after the copy.
+	writes  map[string]int
+	syncing map[string]bool // datasets with a replicate job in flight
 	// stale maps dataset -> backend indices whose replica copy may have
 	// diverged from the primary (a follower mutation forward failed). A
 	// stale replica is excluded from read failover, skipped by further
@@ -399,6 +404,7 @@ func NewRouter(backends []Backend, vnodes int) (*Router, error) {
 		probes:      make([]probeState, len(backends)),
 		assign:      make(map[string][]int),
 		moving:      make(map[string]bool),
+		writes:      make(map[string]int),
 		syncing:     make(map[string]bool),
 		stale:       make(map[string]map[int]bool),
 		inflight:    make(map[routeKey]*atomic.Int64),
@@ -965,10 +971,12 @@ func (rt *Router) routeDataset(w http.ResponseWriter, r *http.Request) {
 // would silently miss them).
 func (rt *Router) routeMutate(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	if rt.isMoving(name) {
+	end, ok := rt.beginWrite(name)
+	if !ok {
 		writeError(w, http.StatusConflict, fmt.Errorf("dataset %q is mid-move; retry shortly", name))
 		return
 	}
+	defer end()
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, service.MaxRequestBody))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
@@ -1259,6 +1267,31 @@ func (rt *Router) isMoving(name string) bool {
 	return rt.moving[name]
 }
 
+// beginWrite registers a write to the dataset, or reports false when a move
+// owns it. The returned func ends the registration.
+func (rt *Router) beginWrite(name string) (end func(), ok bool) {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	if rt.moving[name] {
+		return nil, false
+	}
+	rt.writes[name]++
+	return func() {
+		rt.mu.Lock()
+		defer rt.mu.Unlock()
+		if rt.writes[name]--; rt.writes[name] == 0 {
+			delete(rt.writes, name)
+		}
+	}, true
+}
+
+// writesInFlight counts the dataset's registered writes.
+func (rt *Router) writesInFlight(name string) int {
+	rt.mu.RLock()
+	defer rt.mu.RUnlock()
+	return rt.writes[name]
+}
+
 // serveRestoreSnapshot forwards a snapshot upload to the shard that should
 // own the dataset and records the placement on success — the upload analog
 // of serveCreateDataset (snapshot uploads carry no spec, so no pin; an
@@ -1319,10 +1352,12 @@ func (rt *Router) serveCancelJob(w http.ResponseWriter, r *http.Request) {
 // how a dataset moves without a restart.
 func (rt *Router) serveDeleteDataset(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	if rt.isMoving(name) {
+	end, ok := rt.beginWrite(name)
+	if !ok {
 		writeError(w, http.StatusConflict, fmt.Errorf("dataset %q is mid-move; retry shortly", name))
 		return
 	}
+	defer end()
 	set := rt.replicaSetFor(name)
 	rec := newRecorder()
 	rt.backends[set[0]].ServeAPI(rec, r)
