@@ -10,11 +10,14 @@ import (
 	"roadsocial/internal/road"
 )
 
-// Ablation benchmarks for the design choices called out in DESIGN.md:
-// the G-tree range-query index vs plain bounded Dijkstra, local search with
-// and without seeded candidates, the two expansion strategies (Eq. 3 vs
-// Eq. 4), and the arrangement's LP-avoidance fast path indirectly via the
-// global engine.
+// Ablation benchmarks: each measures one design choice against its
+// alternative on the same generated network (2,200 users on a 55×55 road
+// grid). They cover the G-tree range-query index against plain bounded
+// Dijkstra (with the index's one-time build measured apart), local search
+// with and without seeded candidates, the two expansion strategies (Eq. 3
+// vs Eq. 4), global against local search, and the single-weight-vector
+// oracle. The arrangement's LP-avoidance fast path is exercised indirectly
+// through the global engine.
 
 func ablationNetwork(b *testing.B) (*roadsocial.Network, []int32) {
 	b.Helper()

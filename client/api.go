@@ -197,17 +197,16 @@ type CellJSON struct {
 // Field names are the JSON keys — the pre-SDK API serialized the engine
 // struct directly, and the contract keeps that encoding.
 type SearchStats struct {
-	KTCoreSize     int
-	KTCoreEdges    int
-	DomGraphArcs   int
-	Partitions     int
-	Hyperplanes    int
-	CellsExplored  int
-	Deletions      int
-	Candidates     int
-	Promising      int
-	CascadeSims    int
-	DominanceTests int64
+	KTCoreSize    int
+	KTCoreEdges   int
+	DomGraphArcs  int
+	Partitions    int
+	Hyperplanes   int
+	CellsExplored int
+	Deletions     int
+	Candidates    int
+	Promising     int
+	CascadeSims   int
 }
 
 // SearchResponse is the body of a successful search or ktcore request.

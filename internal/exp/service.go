@@ -239,7 +239,10 @@ func (t *tally) record(tab *Table) {
 // server-side service time (SearchResponse.ElapsedMs: prepare plus search,
 // with no queue and no encode) is kept next to its latency. Cold and warm
 // compare only over keys answered on both sides, so a key that fails (say,
-// past the request deadline) drops out of both.
+// past the request deadline) drops out of both. <prefix>cold_minus_warm_ms
+// pairs the two sides by key: the median over compared keys of a key's
+// cold service time minus the median of its warm ones, so keys whose
+// searches cost several times more than others do not decide the sign.
 func coldWarmPhase(prefix string, algo client.Algo, k, keys int) func(*serviceRun) error {
 	return func(r *serviceRun) error {
 		qs := r.queries[:min(keys, len(r.queries))]
@@ -274,17 +277,22 @@ func coldWarmPhase(prefix string, algo client.Algo, k, keys int) func(*serviceRu
 				t.lat, t.svc = append(t.lat, a[0]), append(t.svc, a[1])
 			}
 		}
-		compared := 0
+		var saved []float64 // per compared key: cold minus median warm service time
 		for i := range qs {
 			if len(coldBy[i]) > 0 && len(warmBy[i]) > 0 {
-				compared++
 				keep(cold, coldBy, i)
 				keep(warm, warmBy, i)
+				warmSvc := make([]float64, len(warmBy[i]))
+				for j, a := range warmBy[i] {
+					warmSvc[j] = a[1]
+				}
+				saved = append(saved, coldBy[i][0][1]-percentileMs(warmSvc, 0.5))
 			}
 		}
 		cold.record(r.tab)
 		warm.record(r.tab)
-		r.tab.Metrics[prefix+"keys_compared"] = float64(compared)
+		r.tab.Metrics[prefix+"keys_compared"] = float64(len(saved))
+		r.tab.Metrics[prefix+"cold_minus_warm_ms"] = percentileMs(saved, 0.5)
 		if w := r.tab.Metrics[warm.name+"_p50_ms"]; w > 0 {
 			r.tab.Metrics[prefix+"cold_over_warm_p50"] = r.tab.Metrics[cold.name+"_p50_ms"] / w
 		}
@@ -598,9 +606,11 @@ func standingPhase(r *serviceRun) error {
 	if err != nil {
 		return fmt.Errorf("exp: standing register: %v", err)
 	}
-	// The toggle victim: a non-anchor member with edges inside the
-	// community. Deleting all of them expels it from any k-core; inserting
-	// them back restores the original graph, so it rejoins.
+	// The toggle victim: the non-anchor member with the fewest edges inside
+	// the community (at least one), since each write cuts or restores all
+	// of them and every edge costs incremental core/truss maintenance.
+	// Deleting them all expels it from any k-core; inserting them back
+	// restores the original graph, so it rejoins.
 	inComm := map[int32]bool{}
 	for _, m := range sq.Members {
 		inComm[m] = true
@@ -611,14 +621,14 @@ func standingPhase(r *serviceRun) error {
 		if slices.Contains(q, m) {
 			continue
 		}
+		var edges [][2]int32
 		for _, w := range r.in.Net.Social.Neighbors(int(m)) {
 			if inComm[w] {
-				cut = append(cut, [2]int32{m, w})
+				edges = append(edges, [2]int32{m, w})
 			}
 		}
-		if len(cut) > 0 {
-			victim = m
-			break
+		if len(edges) > 0 && (cut == nil || len(edges) < len(cut)) {
+			victim, cut = m, edges
 		}
 	}
 	if cut == nil {

@@ -64,7 +64,6 @@ func (ss *searchSpace) mergeStats(scratches []*macScratch) {
 		ss.stats.Candidates += s.Candidates
 		ss.stats.Promising += s.Promising
 		ss.stats.CascadeSims += s.CascadeSims
-		ss.stats.DominanceTests += s.DominanceTests
 		*s = Stats{}
 	}
 }

@@ -162,17 +162,16 @@ func (cr CellResult) NCMAC() Community { return cr.Ranked[0] }
 // build, and the local-search counters (Candidates, Promising, CascadeSims)
 // are core-only because local search is.
 type Stats struct {
-	KTCoreSize     int // |V(H_k^t)|, or the maximal k-truss's size
-	KTCoreEdges    int // edges of the localized graph (core only)
-	DomGraphArcs   int
-	Partitions     int // number of output partitions of R
-	Hyperplanes    int // distinct hyperplanes inserted into arrangements
-	CellsExplored  int // arrangement leaf cells visited during search
-	Deletions      int // vertices deleted across all branches (global search)
-	Candidates     int // communities generated by Expand (local search)
-	Promising      int // candidates passing Corollary 2
-	CascadeSims    int // structural cascade simulations (Verify)
-	DominanceTests int64
+	KTCoreSize    int // |V(H_k^t)|, or the maximal k-truss's size
+	KTCoreEdges   int // edges of the localized graph (core only)
+	DomGraphArcs  int
+	Partitions    int // number of output partitions of R
+	Hyperplanes   int // distinct hyperplanes inserted into arrangements
+	CellsExplored int // arrangement leaf cells visited during search
+	Deletions     int // vertices deleted across all branches (global search)
+	Candidates    int // communities generated by Expand (local search)
+	Promising     int // candidates passing Corollary 2
+	CascadeSims   int // structural cascade simulations (Verify)
 }
 
 // Result is the outcome of a MAC search.

@@ -68,7 +68,7 @@ func FlattenGTree(t *GTree) FlatGTree {
 // that will later be used as an index is bounds-checked here: the slabs
 // may come from an untrusted file, and a traversal must never step outside
 // the mapping or loop forever on a cyclic topology. Derived state (the
-// unionBorders index maps, the scratch pool) is rebuilt in RAM.
+// border position slices, the scratch pool) is rebuilt in RAM.
 func GTreeFromFlat(g *Graph, f FlatGTree) (*GTree, error) {
 	mr := bytes.NewReader(f.Meta)
 	nLeaf, err := binary.ReadUvarint(mr)
@@ -178,7 +178,6 @@ func GTreeFromFlat(g *Graph, f FlatGTree) (*GTree, error) {
 		if n.mat, err = take64(counts[4] * counts[4]); err != nil {
 			return nil, err
 		}
-		n.buildUBIndex()
 	}
 	if i32c != len(f.I32) || f64c != len(f.F64) {
 		return nil, fmt.Errorf("road: gtree slabs have %d/%d trailing elements", len(f.I32)-i32c, len(f.F64)-f64c)
@@ -186,6 +185,25 @@ func GTreeFromFlat(g *Graph, f FlatGTree) (*GTree, error) {
 	if mr.Len() != 0 {
 		return nil, fmt.Errorf("road: gtree meta has %d trailing bytes", mr.Len())
 	}
+	// A range query moves distances between a node and its parent by
+	// position and starts its ascend at a leaf, so the children lists must
+	// agree with the parent links (each child listed once, by its parent)
+	// and the leaf table must name leaves.
+	listed := make([]bool, len(t.nodes))
+	for i := range t.nodes {
+		for _, c := range t.nodes[i].children {
+			if t.nodes[c].parent != int32(i) || listed[c] {
+				return nil, fmt.Errorf("road: gtree node %d lists child %d, which names parent %d or is listed twice", i, c, t.nodes[c].parent)
+			}
+			listed[c] = true
+		}
+	}
+	for v, id := range t.leaf {
+		if len(t.nodes[id].children) != 0 {
+			return nil, fmt.Errorf("road: gtree leaf table maps vertex %d to internal node %d", v, id)
+		}
+	}
+	t.derivePositions()
 	t.initScratch()
 	return t, nil
 }

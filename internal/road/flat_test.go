@@ -72,3 +72,33 @@ func TestGTreeFromFlatWrongGraph(t *testing.T) {
 		t.Fatal("index bound to a mismatched graph")
 	}
 }
+
+// TestGTreeFromFlatInconsistentTopology: a range query moves distances
+// between a node and its parent by position and starts its ascend at a
+// leaf, so a flat tree whose leaf table names an internal node, or whose
+// children lists disagree with its parent links, is refused.
+func TestGTreeFromFlatInconsistentTopology(t *testing.T) {
+	const n = 40
+	g := chainGraph(t, n)
+	gt := BuildGTree(g, 4)
+	if len(gt.nodes) < 3 || gt.nodes[2].parent != 1 || gt.nodes[0].children[0] != 1 {
+		t.Fatalf("unexpected tree shape: %d nodes", len(gt.nodes))
+	}
+	f := FlattenGTree(gt)
+	if _, err := GTreeFromFlat(g, f); err != nil {
+		t.Fatal(err)
+	}
+	for name, edit := range map[string]func(i32 []int32){
+		// The leaf table comes first in the I32 slab.
+		"leaf table names the root": func(i32 []int32) { i32[0] = 0 },
+		// The root's children follow it; node 2 is node 1's child.
+		"root lists a grandchild": func(i32 []int32) { i32[n+1] = 2 },
+	} {
+		bad := f
+		bad.I32 = append([]int32(nil), f.I32...)
+		edit(bad.I32)
+		if _, err := GTreeFromFlat(g, bad); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}

@@ -2,7 +2,6 @@ package road
 
 import (
 	"container/heap"
-	"math"
 	"sync"
 
 	"roadsocial/internal/conc"
@@ -22,8 +21,9 @@ import (
 //
 // Concurrency: after BuildGTree returns, the index is immutable and safe
 // for concurrent queries from any number of goroutines — per-query scratch
-// (visit stamps, distance array, Dijkstra heap) is drawn from an internal
-// sync.Pool rather than stored in the struct. QueryDistances additionally
+// (visit stamps, the per-vertex distance array, the Dijkstra heap and the
+// per-node distance vectors) is drawn from an internal sync.Pool rather
+// than stored in the struct. QueryDistances additionally
 // runs its per-query-location searches on Parallelism workers.
 type GTree struct {
 	g     *Graph
@@ -56,7 +56,22 @@ type gtNode struct {
 	// matrix, mat[i*len(unionBorders)+j] = dist unionBorders[i] -> [j]
 	unionBorders []int32
 	mat          []float64
-	ubIndex      map[int32]int32
+	// A range query holds one distance vector per node, over its vecVerts.
+	// up[i] is the position of vecVerts()[i] in the parent's unionBorders,
+	// -1 if absent: the only node state not stored in a snapshot, derived
+	// by derivePositions.
+	up []int32
+}
+
+// vecVerts are the vertices a range query's vector for the node covers: a
+// leaf's borders, an internal node's unionBorders. An internal node's
+// borders are among its unionBorders, and they are exactly the ones its
+// parent's unionBorders hold too.
+func (n *gtNode) vecVerts() []int32 {
+	if len(n.children) == 0 {
+		return n.borders
+	}
+	return n.unionBorders
 }
 
 // leafDist reads the border-to-member matrix of a leaf node.
@@ -65,16 +80,28 @@ func (n *gtNode) leafDist(bi, vi int) float64 { return n.distLeaf[bi*len(n.verti
 // matAt reads the pairwise border matrix of an internal node.
 func (n *gtNode) matAt(i, j int) float64 { return n.mat[i*len(n.unionBorders)+j] }
 
-// buildUBIndex (re)derives the unionBorders position map — the only node
-// state not stored in a snapshot.
-func (n *gtNode) buildUBIndex() {
-	if len(n.unionBorders) == 0 {
-		n.ubIndex = nil
-		return
+// derivePositions fills every child's up slice, so that a range query
+// moves distances between levels by position alone.
+func (t *GTree) derivePositions() {
+	pos := make([]int32, t.g.N())
+	for i := range pos {
+		pos[i] = -1
 	}
-	n.ubIndex = make(map[int32]int32, len(n.unionBorders))
-	for j, b := range n.unionBorders {
-		n.ubIndex[b] = int32(j)
+	for id := range t.nodes {
+		n := &t.nodes[id]
+		for j, b := range n.unionBorders {
+			pos[b] = int32(j)
+		}
+		for _, c := range n.children {
+			cn := &t.nodes[c]
+			cn.up = make([]int32, len(cn.vecVerts()))
+			for i, v := range cn.vecVerts() {
+				cn.up[i] = pos[v]
+			}
+		}
+		for _, b := range n.unionBorders {
+			pos[b] = -1
+		}
 	}
 }
 
@@ -83,8 +110,62 @@ func (n *gtNode) buildUBIndex() {
 type gtScratch struct {
 	stamp   []int32
 	stampID int32
-	dist    []float64
+	dist    []float64 // per road vertex; also a range query's result
 	q       pq
+
+	// Range-query state, reset per query: f64 backs the per-node distance
+	// vectors, anc and asc hold the ascend chain (the source leaf first,
+	// with its within-node vectors), stack the descend frames and live the
+	// finite operands of one min-plus step.
+	f64   []float64
+	anc   []int32
+	asc   [][]float64
+	stack []gtFrame
+	live  []int32
+}
+
+// gtFrame is one descend step: a node and the exact distances on its
+// vecVerts that cross its borders, Inf elsewhere.
+type gtFrame struct {
+	node int32
+	vec  []float64
+}
+
+// alloc hands out n floats of the per-query arena. Growing starts a fresh
+// backing array, so the vectors handed out before stay valid.
+func (sc *gtScratch) alloc(n int) []float64 {
+	if len(sc.f64)+n > cap(sc.f64) {
+		sc.f64 = make([]float64, 0, 2*cap(sc.f64)+n)
+	}
+	l := len(sc.f64)
+	sc.f64 = sc.f64[:l+n]
+	return sc.f64[l : l+n : l+n]
+}
+
+// gather returns v[pos[i]] for each i, Inf where pos[i] < 0.
+func (sc *gtScratch) gather(pos []int32, v []float64) []float64 {
+	out := sc.alloc(len(pos))
+	for i, p := range pos {
+		out[i] = Inf
+		if p >= 0 {
+			out[i] = v[p]
+		}
+	}
+	return out
+}
+
+// scatter returns an n-vector holding v[i] at pos[i], Inf elsewhere.
+func (sc *gtScratch) scatter(n int, pos []int32, v []float64) []float64 {
+	out := sc.alloc(n)
+	for i := range out {
+		out[i] = Inf
+	}
+	for i, p := range pos {
+		if p >= 0 {
+			out[p] = v[i]
+		}
+	}
+	return out
 }
 
 func (t *GTree) getScratch() *gtScratch {
@@ -135,6 +216,7 @@ func BuildGTree(g *Graph, maxLeaf int) *GTree {
 	t.computeBorders(sc)
 	t.computeMatrices(sc)
 	t.putScratch(sc)
+	t.derivePositions()
 	return t
 }
 
@@ -286,7 +368,6 @@ func (t *GTree) computeMatrices(sc *gtScratch) {
 				}
 			}
 		}
-		n.buildUBIndex()
 		ub := len(n.unionBorders)
 		n.mat = make([]float64, ub*ub)
 		for i, b := range n.unionBorders {
@@ -343,11 +424,10 @@ func (t *GTree) QueryDistances(queries []Location, users []Location, bound float
 }
 
 // WithCancel implements Cancelable: the returned view shares the immutable
-// index but aborts traversals — the ascend/descend walk, the Dijkstra
-// fallback, and the per-user assemble loop — with ErrCanceled once cancel
-// closes. The query layer binds Query.Cancel through this, so an abandoned
-// search stops burning the index mid-traversal instead of at the next
-// whole-oracle boundary.
+// index but aborts traversals — the ascend/descend walk and the Dijkstra
+// fallback — with ErrCanceled once cancel closes. The query layer binds
+// Query.Cancel through this, so an abandoned search stops burning the
+// index mid-traversal instead of at the next whole-oracle boundary.
 func (t *GTree) WithCancel(cancel <-chan struct{}) Oracle {
 	if cancel == nil {
 		return t
@@ -371,234 +451,160 @@ func (t *GTree) queryDistances(queries []Location, users []Location, bound float
 		func(qi int, row []float64) error { return t.queryRow(queries[qi], users, bound, row, cancel) })
 }
 
-// gtCancelStride bounds how many per-user assemble iterations run between
-// cancellation polls, mirroring the bounded Dijkstra's stride.
-const gtCancelStride = 1024
-
 // queryRow fills row[i] with the network distance from qloc to users[i]
 // (values beyond bound may be reported as Inf).
 func (t *GTree) queryRow(qloc Location, users []Location, bound float64, row []float64, cancel <-chan struct{}) error {
-	var dist map[int32]float64
-	if qloc.OnVertex() {
-		var err error
-		dist, err = t.sourceDistances(qloc.U, bound, cancel)
+	if !qloc.OnVertex() {
+		dist, err := t.g.DistancesFromCancel(qloc, bound, cancel)
 		if err != nil {
 			return err
 		}
-	} else {
-		full, err := t.g.DistancesFromCancel(qloc, bound, cancel)
-		if err != nil {
-			return err
-		}
-		dist = make(map[int32]float64)
-		for v, dv := range full {
-			if dv <= bound {
-				dist[int32(v)] = dv
-			}
-		}
+		fillRow(qloc, dist, users, row)
+		return nil
 	}
-	// A vertex-located query can never share an edge interior with a user,
-	// so the sameEdgeDirect shortcut only applies to edge-located queries.
-	edgeQuery := !qloc.OnVertex()
-	for i, u := range users {
-		if i%gtCancelStride == 0 && chanClosed(cancel) {
-			return ErrCanceled
-		}
-		d := locDistance(dist, u)
-		if edgeQuery {
-			if direct, ok := sameEdgeDirect(qloc, u); ok && direct < d {
-				d = direct
-			}
-		}
-		row[i] = d
+	sc := t.getScratch()
+	defer t.putScratch(sc)
+	dist, err := t.sourceDistances(sc, qloc.U, bound, cancel)
+	if err != nil {
+		return err
 	}
+	fillRow(qloc, dist, users, row)
 	return nil
 }
 
-func locDistance(dist map[int32]float64, loc Location) float64 {
-	get := func(v int32) float64 {
-		if d, ok := dist[v]; ok {
-			return d
-		}
-		return Inf
-	}
-	if loc.OnVertex() {
-		return get(loc.U)
-	}
-	return math.Min(get(loc.U)+loc.Off, get(loc.V)+(loc.w-loc.Off))
-}
-
 // sourceDistances computes exact network distances from road vertex s to all
-// road vertices within bound, using the ascend/descend G-tree strategy.
-// cancel (nil allowed) is polled once per ascend level and once per descend
-// frame — the units of the traversal's assemble loop — so an abandoned
-// query stops within one node's worth of work.
-func (t *GTree) sourceDistances(s int32, bound float64, cancel <-chan struct{}) (map[int32]float64, error) {
-	sc := t.getScratch()
-	defer t.putScratch(sc)
-	result := make(map[int32]float64)
+// road vertices within bound, using the ascend/descend G-tree strategy. It
+// returns sc.dist, indexed by road vertex and Inf beyond bound, valid until
+// sc is used again. Per-node distance vectors are indexed by position in
+// the node's borders or unionBorders. cancel (nil allowed) is polled once
+// per ascend level and once per descend frame — the units of the
+// traversal — so an abandoned query stops within one node's worth of work.
+func (t *GTree) sourceDistances(sc *gtScratch, s int32, bound float64, cancel <-chan struct{}) ([]float64, error) {
+	sc.f64 = sc.f64[:0]
 	leafID := t.leaf[s]
 
-	// Ascend: within-subgraph distances from s to each ancestor's borders.
-	// borderDist[v] holds the best-known distance to border vertex v at the
-	// current ancestor level. asc[node] records the within-node distances on
-	// that ancestor's unionBorders: the descend phase must merge them,
-	// because paths to vertices inside an ancestor of the source need not
-	// cross the ancestor's borders.
-	borderDist := make(map[int32]float64)
-	asc := make(map[int32]map[int32]float64)
-	{
-		ln := &t.nodes[leafID]
-		setID := sc.newStamp()
-		for _, v := range ln.vertices {
-			sc.stamp[v] = setID
-		}
-		d := t.restrictedDijkstra(s, setID, sc)
-		for _, v := range ln.vertices {
-			if d[v] < Inf {
-				result[v] = d[v] // within-leaf distances; corrected below
-			}
-		}
-		for _, b := range ln.borders {
-			if d[b] < Inf {
-				borderDist[b] = d[b]
-			}
+	// Within-leaf distances first. vec holds the distances on the vecVerts
+	// of the node the ascend has reached, exact within that node.
+	ln := &t.nodes[leafID]
+	setID := sc.newStamp()
+	for _, v := range ln.vertices {
+		sc.stamp[v] = setID
+	}
+	dist := t.restrictedDijkstra(s, setID, sc)
+	vec := sc.alloc(len(ln.borders))
+	for i, b := range ln.borders {
+		vec[i] = dist[b]
+	}
+	for _, v := range ln.vertices {
+		if dist[v] > bound {
+			dist[v] = Inf // corrected below if a border offers a shorter path
 		}
 	}
-	for node := t.nodes[leafID].parent; node >= 0; node = t.nodes[node].parent {
+
+	// Ascend: within-subgraph distances from s to each ancestor's
+	// unionBorders. asc keeps each level's vector: the descend phase must
+	// merge them, because paths to vertices inside an ancestor of the
+	// source need not cross the ancestor's borders.
+	sc.anc, sc.asc = append(sc.anc[:0], leafID), append(sc.asc[:0], nil)
+	for child, node := leafID, ln.parent; node >= 0; child, node = node, t.nodes[node].parent {
 		if chanClosed(cancel) {
 			return nil, ErrCanceled
 		}
 		n := &t.nodes[node]
-		next := make(map[int32]float64, len(n.unionBorders))
-		for bi, b := range n.unionBorders {
-			best := Inf
-			for bj, b2 := range n.unionBorders {
-				if db, ok := borderDist[b2]; ok {
-					if v := db + n.matAt(bj, bi); v < best {
-						best = v
-					}
-				}
-			}
-			if db, ok := borderDist[b]; ok && db < best {
-				best = db
-			}
-			if best < Inf {
-				next[b] = best
-			}
-		}
-		asc[node] = next
-		borderDist = next
+		in := sc.scatter(len(n.unionBorders), t.nodes[child].up, vec)
+		vec = sc.alloc(len(n.unionBorders))
+		sc.minPlus(n, vec, in, nil)
+		sc.anc, sc.asc = append(sc.anc, node), append(sc.asc, vec)
 	}
-	// borderDist now holds globally exact distances on the root's
-	// unionBorders (the root subgraph is the whole graph, so the final
-	// ascend level is already global).
-
-	// Descend best-first from the root, pruning subtrees entirely beyond the
-	// bound. Ancestors of the source leaf are never pruned (distance may be 0).
-	isAncestor := make(map[int32]bool)
-	for node := leafID; node >= 0; node = t.nodes[node].parent {
-		isAncestor[node] = true
-	}
-	type frame struct {
-		node int32
-		bd   map[int32]float64 // exact distances on this node's borders
-	}
-	stack := []frame{}
+	// The last level is the root, whose subgraph is the whole graph, so its
+	// vector holds globally exact distances on the root's unionBorders.
 	root := &t.nodes[0]
 	if len(root.children) == 0 {
 		// Single-leaf tree: the within-leaf pass above is already global.
-		trim(result, bound)
-		return result, nil
+		return dist, nil
 	}
+
+	// Descend best-first from the root, pruning subtrees entirely beyond the
+	// bound. Ancestors of the source leaf are never pruned (distance may be 0).
+	rootUB := sc.asc[len(sc.asc)-1]
+	sc.stack = sc.stack[:0]
 	for _, c := range root.children {
-		cb := make(map[int32]float64)
-		for _, b := range t.nodes[c].borders {
-			if d, ok := borderDist[b]; ok {
-				cb[b] = d
-			}
-		}
-		stack = append(stack, frame{node: c, bd: cb})
+		sc.stack = append(sc.stack, gtFrame{node: c, vec: sc.gather(t.nodes[c].up, rootUB)})
 	}
-	for len(stack) > 0 {
+	for len(sc.stack) > 0 {
 		if chanClosed(cancel) {
 			return nil, ErrCanceled
 		}
-		fr := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
+		fr := sc.stack[len(sc.stack)-1]
+		sc.stack = sc.stack[:len(sc.stack)-1]
 		n := &t.nodes[fr.node]
 		minB := Inf
-		for _, d := range fr.bd {
+		for _, d := range fr.vec {
 			if d < minB {
 				minB = d
 			}
 		}
-		if minB > bound && !isAncestor[fr.node] {
+		var within []float64 // the ascend vector of an ancestor of the source
+		ancestor := false
+		for k, a := range sc.anc {
+			if a == fr.node {
+				within, ancestor = sc.asc[k], true
+				break
+			}
+		}
+		if minB > bound && !ancestor {
 			continue
 		}
 		if len(n.children) == 0 {
 			for vi, v := range n.vertices {
-				best := Inf
-				if d, ok := result[v]; ok {
-					best = d
-				}
-				for bi, b := range n.borders {
-					if db, ok := fr.bd[b]; ok {
+				best := dist[v]
+				for bi, db := range fr.vec {
+					if db < Inf {
 						if val := db + n.leafDist(bi, vi); val < best {
 							best = val
 						}
 					}
 				}
 				if best <= bound {
-					result[v] = best
+					dist[v] = best
 				}
 			}
 			continue
 		}
 		// Extend exact distances to this node's unionBorders, then push
-		// children with their border slices. For ancestors of the source
-		// leaf, merge the within-node ascend distances: the source lies
-		// inside, so paths need not cross the node's borders.
-		ub := make(map[int32]float64, len(n.unionBorders))
-		for bi, b := range n.unionBorders {
-			best := Inf
-			if d, ok := fr.bd[b]; ok {
-				best = d
-			}
-			for bj, b2 := range n.unionBorders {
-				if db, ok := fr.bd[b2]; ok {
-					if v := db + n.matAt(bj, bi); v < best {
-						best = v
-					}
-				}
-			}
-			if within, ok := asc[fr.node]; ok {
-				if d, ok := within[b]; ok && d < best {
-					best = d
-				}
-			}
-			if best < Inf {
-				ub[b] = best
-			}
-		}
+		// children with their vectors. For ancestors of the source leaf,
+		// merge the within-node ascend distances: the source lies inside,
+		// so paths need not cross the node's borders.
+		ub := sc.alloc(len(n.unionBorders))
+		sc.minPlus(n, ub, fr.vec, within)
 		for _, c := range n.children {
-			cb := make(map[int32]float64)
-			for _, b := range t.nodes[c].borders {
-				if d, ok := ub[b]; ok {
-					cb[b] = d
-				}
-			}
-			stack = append(stack, frame{node: c, bd: cb})
+			sc.stack = append(sc.stack, gtFrame{node: c, vec: sc.gather(t.nodes[c].up, ub)})
 		}
 	}
-	trim(result, bound)
-	return result, nil
+	return dist, nil
 }
 
-func trim(m map[int32]float64, bound float64) {
-	for k, v := range m {
-		if v > bound {
-			delete(m, k)
+// minPlus extends distances across an internal node: out[bi] is the least
+// of in[bi], in[bj] + matAt(bj, bi) over the finite in[bj], and within[bi]
+// when within is not nil.
+func (sc *gtScratch) minPlus(n *gtNode, out, in, within []float64) {
+	live := sc.live[:0]
+	for bj, d := range in {
+		if d < Inf {
+			live = append(live, int32(bj))
 		}
+	}
+	sc.live = live
+	for bi := range out {
+		best := in[bi]
+		for _, bj := range live {
+			if v := in[bj] + n.matAt(int(bj), bi); v < best {
+				best = v
+			}
+		}
+		if within != nil && within[bi] < best {
+			best = within[bi]
+		}
+		out[bi] = best
 	}
 }

@@ -20,7 +20,7 @@ func TestGTreeCancelMidTraversal(t *testing.T) {
 
 	// Reference: the full, uncancelable traversal.
 	start := time.Now()
-	full, err := gt.sourceDistances(0, math.Inf(1), nil)
+	full, err := gt.sourceDistances(gt.getScratch(), 0, math.Inf(1), nil)
 	fullDur := time.Since(start)
 	if err != nil {
 		t.Fatal(err)
@@ -31,7 +31,7 @@ func TestGTreeCancelMidTraversal(t *testing.T) {
 
 	// An open cancel behaves exactly like the plain traversal.
 	open := make(chan struct{})
-	dist, err := gt.sourceDistances(0, math.Inf(1), open)
+	dist, err := gt.sourceDistances(gt.getScratch(), 0, math.Inf(1), open)
 	if err != nil || dist[n-1] != float64(n-1) {
 		t.Fatalf("open cancel: err=%v dist=%v", err, dist[n-1])
 	}
@@ -43,7 +43,7 @@ func TestGTreeCancelMidTraversal(t *testing.T) {
 	cancel := make(chan struct{})
 	close(cancel)
 	start = time.Now()
-	dist, err = gt.sourceDistances(0, math.Inf(1), cancel)
+	dist, err = gt.sourceDistances(gt.getScratch(), 0, math.Inf(1), cancel)
 	gotDur := time.Since(start)
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("canceled traversal: err=%v, want ErrCanceled", err)

@@ -63,19 +63,44 @@ func TestQuickBoundedAgreesWithUnbounded(t *testing.T) {
 }
 
 // Property: the G-tree oracle is exchangeable with the plain oracle on
-// arbitrary query/user location mixes, including edge locations for users.
+// arbitrary query/user location mixes: vertex- and edge-located users, and
+// vertex- and edge-located query sources (an edge-located source takes the
+// G-tree's Dijkstra fallback). Each edge-located source also gets a user on
+// its own edge, drawn in the reverse orientation, so the along-the-edge
+// shortcut is exercised too.
 func TestQuickGTreeExchangeable(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 20 + rng.Intn(60)
 		g := randomConnectedGraph(rng, n)
 		gt := BuildGTree(g, 4+rng.Intn(12))
+		var edges [][2]int
+		g.Edges(func(u, v int, _ float64) { edges = append(edges, [2]int{u, v}) })
+		onEdge := func(u, v int) Location {
+			w, _ := g.EdgeWeight(u, v)
+			loc, err := g.EdgeLocation(u, v, w*rng.Float64())
+			if err != nil {
+				t.Fatal(err)
+			}
+			return loc
+		}
 		var queries, users []Location
 		for i := 0; i < 1+rng.Intn(3); i++ {
-			queries = append(queries, VertexLocation(rng.Intn(n)))
+			if rng.Intn(2) == 0 {
+				queries = append(queries, VertexLocation(rng.Intn(n)))
+				continue
+			}
+			e := edges[rng.Intn(len(edges))]
+			queries = append(queries, onEdge(e[0], e[1]))
+			users = append(users, onEdge(e[1], e[0]))
 		}
 		for i := 0; i < 10; i++ {
-			users = append(users, VertexLocation(rng.Intn(n)))
+			if rng.Intn(2) == 0 {
+				users = append(users, VertexLocation(rng.Intn(n)))
+				continue
+			}
+			e := edges[rng.Intn(len(edges))]
+			users = append(users, onEdge(e[0], e[1]))
 		}
 		bound := 5 + rng.Float64()*15
 		a, errA := gt.QueryDistances(queries, users, bound)

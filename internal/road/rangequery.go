@@ -58,21 +58,28 @@ func (r RangeQuerier) QueryDistances(queries []Location, users []Location, bound
 }
 
 // queryRow fills row[i] with the network distance from query location q to
-// users[i]. The sameEdgeDirect shortcut only applies to edge-located
-// queries: a vertex-located query can never share an edge interior with a
-// user. Cancellation interrupts the underlying Dijkstra mid-expansion, so a
-// single huge bounded search no longer runs to completion after its query
-// was abandoned.
+// users[i]. Cancellation interrupts the underlying Dijkstra mid-expansion,
+// so a single huge bounded search no longer runs to completion after its
+// query was abandoned.
 func (r RangeQuerier) queryRow(q Location, users []Location, bound float64, row []float64) error {
 	dist, err := r.G.DistancesFromCancel(q, bound, r.Cancel)
 	if err != nil {
 		return err
 	}
+	fillRow(q, dist, users, row)
+	return nil
+}
+
+// fillRow evaluates the distance field dist of query location q at every
+// user location, the step both oracles end with. The sameEdgeDirect
+// shortcut only applies to edge-located queries: a vertex-located query
+// can never share an edge interior with a user.
+func fillRow(q Location, dist []float64, users []Location, row []float64) {
 	if q.OnVertex() {
 		for i, u := range users {
 			row[i] = DistanceAt(dist, u)
 		}
-		return nil
+		return
 	}
 	for i, u := range users {
 		d := DistanceAt(dist, u)
@@ -81,7 +88,6 @@ func (r RangeQuerier) queryRow(q Location, users []Location, bound float64, row 
 		}
 		row[i] = d
 	}
-	return nil
 }
 
 // maxFoldQueries is the per-query-location fan-out shared by the oracles:
