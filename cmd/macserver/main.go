@@ -88,7 +88,6 @@ import (
 	"time"
 
 	"roadsocial"
-	"roadsocial/internal/dataset"
 	"roadsocial/internal/exp"
 	"roadsocial/internal/service"
 	"roadsocial/internal/shard"
@@ -321,12 +320,11 @@ func main() {
 		if *name == "" {
 			fatal("file-loaded dataset requires -name")
 		}
-		net, err := loadFiles(*socialPath, *attrsPath, *roadPath, *locsPath)
+		net, _, err := service.LoadSpecFiles(*name, &service.DatasetSpec{
+			Social: *socialPath, Attrs: *attrsPath, Road: *roadPath, Locs: *locsPath, GTree: *gtree,
+		})
 		if err != nil {
 			fatal("dataset files failed to load", "dataset", *name, "error", err)
-		}
-		if *gtree {
-			net.Oracle = roadsocial.BuildGTree(net.Road, 0)
 		}
 		addDataset(*name, net)
 		logger.Info("dataset loaded",
@@ -454,28 +452,4 @@ func parseScale(s string) (exp.Scale, error) {
 	default:
 		return 0, fmt.Errorf("unknown scale %q (want tiny, small, or medium)", s)
 	}
-}
-
-func loadFiles(socialPath, attrsPath, roadPath, locsPath string) (*roadsocial.Network, error) {
-	sf, err := os.Open(socialPath)
-	if err != nil {
-		return nil, err
-	}
-	defer sf.Close()
-	af, err := os.Open(attrsPath)
-	if err != nil {
-		return nil, err
-	}
-	defer af.Close()
-	rf, err := os.Open(roadPath)
-	if err != nil {
-		return nil, err
-	}
-	defer rf.Close()
-	lf, err := os.Open(locsPath)
-	if err != nil {
-		return nil, err
-	}
-	defer lf.Close()
-	return dataset.ReadNetwork(sf, af, nil, rf, lf)
 }

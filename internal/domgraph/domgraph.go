@@ -238,17 +238,6 @@ func (d *DAG) DomCount(v int32) int { return int(d.domCount[v]) }
 // Layer returns v's layer: 0 for top vertices, increasing downwards.
 func (d *DAG) Layer(v int32) int { return int(d.layer[v]) }
 
-// MaxLayer returns the largest layer index (0 for empty DAGs).
-func (d *DAG) MaxLayer() int {
-	m := int32(0)
-	for _, l := range d.layer {
-		if l > m {
-			m = l
-		}
-	}
-	return int(m)
-}
-
 // Dominates reports whether local vertex u r-dominates local vertex v
 // (weakly: equal-everywhere pairs are ordered by pop order).
 func (d *DAG) Dominates(u, v int32) bool { return d.desc[u].Test(int(v)) }
@@ -287,6 +276,3 @@ func (d *DAG) Ancestors(v int32) *bitset.Set { return d.anc[v] }
 // Descendants returns the bitset of all dominatees of v. Callers must not
 // mutate the result.
 func (d *DAG) Descendants(v int32) *bitset.Set { return d.desc[v] }
-
-// ScoreOfID returns the score function of an external id.
-func (d *DAG) ScoreOfID(id int32) geom.Score { return d.Scores[d.Local[id]] }

@@ -32,11 +32,11 @@ func (a *cellArena) cell(region *Region, cuts []Halfspace) *Cell {
 }
 
 // node allocates a partition-tree node from the arena.
-func (a *cellArena) node(c *Cell, payload any) *partitionNode {
+func (a *cellArena) node(c *Cell) *partitionNode {
 	if len(a.nodes) == cap(a.nodes) {
 		a.nodes = make([]partitionNode, 0, cellSlabSize)
 	}
-	a.nodes = append(a.nodes, partitionNode{cell: c, payload: payload})
+	a.nodes = append(a.nodes, partitionNode{cell: c})
 	return &a.nodes[len(a.nodes)-1]
 }
 

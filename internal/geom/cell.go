@@ -18,7 +18,6 @@ type Cell struct {
 	Cuts   []Halfspace
 
 	witness   []float64
-	radius    float64
 	evaluated bool
 	feasible  bool
 }
@@ -56,13 +55,6 @@ func (c *Cell) Feasible() bool {
 func (c *Cell) Witness() []float64 {
 	c.evaluate()
 	return c.witness
-}
-
-// Radius returns the Chebyshev radius of the cell: the largest ball around
-// the witness contained in the cell, zero for degenerate cells.
-func (c *Cell) Radius() float64 {
-	c.evaluate()
-	return c.radius
 }
 
 func (c *Cell) evaluate() {
@@ -129,7 +121,6 @@ func (c *Cell) evaluate() {
 	}
 	c.feasible = true
 	c.witness = res.X[:dim]
-	c.radius = res.X[dim]
 }
 
 // Side classifies the cell against the supporting hyperplane of h.
@@ -215,42 +206,9 @@ func (c *Cell) Split(h Halfspace) (below, above *Cell) {
 	return below, above
 }
 
-// WithCut returns a copy of the cell with one more halfspace constraint.
-func (c *Cell) WithCut(h Halfspace) *Cell {
-	return &Cell{Region: c.Region, Cuts: appendHS(c.Cuts, h)}
-}
-
 func appendHS(cuts []Halfspace, h Halfspace) []Halfspace {
 	out := make([]Halfspace, len(cuts)+1)
 	copy(out, cuts)
 	out[len(cuts)] = h
 	return out
-}
-
-// MinOf returns the minimum of score s over the cell and feasibility.
-func (c *Cell) MinOf(s Score) (float64, bool) {
-	if c.Dim() == 0 {
-		return s.Const, c.Feasible()
-	}
-	v, ok := lp.Minimize(s.Coef, c.constraints(), c.Region.Lo, c.Region.Hi)
-	return v + s.Const, ok
-}
-
-// MaxOf returns the maximum of score s over the cell and feasibility.
-func (c *Cell) MaxOf(s Score) (float64, bool) {
-	if c.Dim() == 0 {
-		return s.Const, c.Feasible()
-	}
-	v, ok := lp.Maximize(s.Coef, c.constraints(), c.Region.Lo, c.Region.Hi)
-	return v + s.Const, ok
-}
-
-// DominatesIn reports whether score s >= t throughout the (feasible) cell.
-func (c *Cell) DominatesIn(s, t Score) bool {
-	diff := s.Sub(t)
-	minV, ok := c.MinOf(diff)
-	if !ok {
-		return false
-	}
-	return minV >= -cellSideEps
 }

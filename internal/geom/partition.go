@@ -21,9 +21,6 @@ type partitionNode struct {
 	cell        *Cell
 	hp          Halfspace // valid when internal
 	left, right *partitionNode
-	// payload lets callers attach per-leaf state (e.g. the smallest-score
-	// vertex valid in that sub-partition).
-	payload any
 }
 
 // NewPartitionTree returns a tree whose single leaf is the given root cell.
@@ -69,9 +66,8 @@ func (t *PartitionTree) insertAt(n *partitionNode, h Halfspace) {
 		switch {
 		case bf && af:
 			n.hp = h
-			n.left = t.arena.node(below, n.payload)
-			n.right = t.arena.node(above, n.payload)
-			n.payload = nil
+			n.left = t.arena.node(below)
+			n.right = t.arena.node(above)
 		case bf:
 			n.cell = below
 		case af:
@@ -102,16 +98,6 @@ func (t *PartitionTree) LeafCount() int {
 	return count
 }
 
-// WalkLeaves invokes fn on every feasible leaf cell together with its
-// attached payload pointer, allowing callers to read or replace it.
-func (t *PartitionTree) WalkLeaves(fn func(c *Cell, payload *any)) {
-	t.root.walk(func(n *partitionNode) {
-		if n.cell.Feasible() {
-			fn(n.cell, &n.payload)
-		}
-	})
-}
-
 func (n *partitionNode) walk(fn func(*partitionNode)) {
 	if n.left != nil {
 		n.left.walk(fn)
@@ -120,6 +106,3 @@ func (n *partitionNode) walk(fn func(*partitionNode)) {
 	}
 	fn(n)
 }
-
-// HyperplaneCount returns the number of distinct hyperplanes inserted.
-func (t *PartitionTree) HyperplaneCount() int { return len(t.seen) }

@@ -40,22 +40,6 @@ func NewBox(lo, hi []float64) (*Region, error) {
 	return r, nil
 }
 
-// NewHypercube returns the hypercube of the given side length centered at
-// center, clipped to stay within the open unit simplex conventions is the
-// caller's responsibility.
-func NewHypercube(center []float64, side float64) (*Region, error) {
-	if side < 0 {
-		return nil, errors.New("geom: negative hypercube side")
-	}
-	lo := make([]float64, len(center))
-	hi := make([]float64, len(center))
-	for i, c := range center {
-		lo[i] = c - side/2
-		hi[i] = c + side/2
-	}
-	return NewBox(lo, hi)
-}
-
 // NewPolytope returns a general convex region: the box [lo,hi] intersected
 // with the extra halfspaces, with the polytope corner list supplied by the
 // caller (the paper assumes the region is given as a convex polygon/polytope,
@@ -155,28 +139,6 @@ func (r *Region) Compare(s, t Score) Dominance {
 func (r *Region) Dominates(s, t Score) bool {
 	c := r.Compare(s, t)
 	return c == RDominates || c == REqual
-}
-
-// StrictlyDominates reports s >= t everywhere with strict inequality
-// somewhere — the asymmetric relation used to build the r-dominance DAG.
-func (r *Region) StrictlyDominates(s, t Score) bool {
-	return r.Compare(s, t) == RDominates
-}
-
-// Halfspaces returns the full H-representation of R: box constraints plus
-// extras. Used to seed arrangement cells.
-func (r *Region) Halfspaces() []Halfspace {
-	out := make([]Halfspace, 0, 2*len(r.Lo)+len(r.Extra))
-	for i := range r.Lo {
-		a := make([]float64, len(r.Lo))
-		a[i] = -1
-		out = append(out, Halfspace{A: a, B: -r.Lo[i]})
-		b := make([]float64, len(r.Lo))
-		b[i] = 1
-		out = append(out, Halfspace{A: b, B: r.Hi[i]})
-	}
-	out = append(out, r.Extra...)
-	return out
 }
 
 func boxCorners(lo, hi []float64) [][]float64 {

@@ -1,94 +1,107 @@
 package mac
 
 import (
+	"slices"
+
 	"roadsocial/internal/geom"
+	"roadsocial/internal/road"
 	"roadsocial/internal/social"
 )
 
 // BruteForceAt computes the top-j MAC list for one fixed reduced weight
 // vector w by direct simulation of the deletion process justified by Lemmas
 // 4-6: starting from H_k^t, repeatedly delete the vertex with the smallest
-// exact score at w (with the DFS cascade), until Corollary 1 stops the
-// process. It is the reference oracle the search algorithms are tested
-// against; its cost is O(n'^2) per weight vector.
+// exact score at w and recompute the maximal connected k-core over the
+// vertices that remain, until Corollary 1 stops the process. It is the
+// reference oracle the search algorithms are tested against; its cost is
+// one k-core decomposition of the social graph per deletion.
 func BruteForceAt(net *Network, q *Query, w []float64) ([]Community, error) {
-	ss, err := prepare(net, q)
-	if err != nil {
+	return bruteForce(net, q, w, (*social.Graph).MaximalConnectedKCore)
+}
+
+// bruteForce is the oracle of both variants; maximal returns the variant's
+// maximal connected cohesive subgraph containing q within a vertex mask.
+// Past the range query it shares nothing with the engines it checks: no
+// Prepared, r-dominance DAG, localized graph or cascade state.
+func bruteForce(net *Network, q *Query, w []float64, maximal func(g *social.Graph, q []int32, k int, allowed []bool) []int32) ([]Community, error) {
+	if err := net.Validate(); err != nil {
 		return nil, err
 	}
-	return ss.bruteForceAt(w, max(1, q.J)), nil
-}
-
-// terminalAt returns the local vertex set of the non-contained MAC at one
-// exact weight vector, by running the deletion process. Used both by the
-// brute-force oracle and as a candidate seed for local search.
-func (ss *searchSpace) terminalAt(w []float64) []int32 {
-	n := ss.dag.N()
-	sub := social.NewSub(ss.hg, allLocal(n))
-	scoreAt := make([]float64, n)
-	for i := 0; i < n; i++ {
-		scoreAt[i] = ss.dag.Scores[i].At(w)
+	if err := q.Validate(net); err != nil {
+		return nil, err
 	}
-	for {
-		u := int32(-1)
-		for v := int32(0); v < int32(n); v++ {
-			if !sub.Alive(v) {
-				continue
-			}
-			if u < 0 || scoreAt[v] < scoreAt[u]-geom.Eps {
-				u = v
-			}
-		}
-		if u < 0 || containsLocal(ss.qLocal, u) {
-			break
-		}
-		if _, ok := sub.TryDeleteCascade(u, ss.query.K, ss.qLocal); !ok {
-			break
-		}
+	gs := net.Social
+	// Lemma 1's range step.
+	queryLocs := make([]road.Location, len(q.Q))
+	for i, v := range q.Q {
+		queryLocs[i] = net.Locs[v]
 	}
-	return sub.Vertices()
-}
-
-func (ss *searchSpace) bruteForceAt(w []float64, j int) []Community {
-	n := ss.dag.N()
-	sub := social.NewSub(ss.hg, allLocal(n))
-	scoreAt := make([]float64, n)
-	for i := 0; i < n; i++ {
-		scoreAt[i] = ss.dag.Scores[i].At(w)
+	dq, err := net.oracle(q.Parallelism, q.Cancel).QueryDistances(queryLocs, net.Locs, q.T)
+	if err != nil {
+		return nil, oracleErr(err)
+	}
+	if queryCancelled(q) {
+		return nil, ErrCanceled
+	}
+	mask := make([]bool, gs.N())
+	for v := range mask {
+		mask[v] = dq[v] <= q.T
+	}
+	current := maximal(gs, q.Q, q.K, mask)
+	if current == nil {
+		return nil, ErrNoCommunity
+	}
+	score := make([]float64, gs.N())
+	for _, v := range current {
+		score[v] = geom.ScoreOf(gs.Attrs(int(v))).At(w)
 	}
 	var batches [][]int32
 	for {
-		// Smallest-score alive vertex (ties by index, matching the engine).
-		u := int32(-1)
-		for v := int32(0); v < int32(n); v++ {
-			if !sub.Alive(v) {
-				continue
-			}
-			if u < 0 || scoreAt[v] < scoreAt[u]-geom.Eps {
+		// Smallest-score member, ties by the lower user id.
+		u := current[0]
+		for _, v := range current[1:] {
+			if score[v] < score[u] || (score[v] == score[u] && v < u) {
 				u = v
 			}
 		}
-		if u < 0 || containsLocal(ss.qLocal, u) {
+		if slices.Contains(q.Q, u) {
 			break
 		}
-		batch, ok := sub.TryDeleteCascade(u, ss.query.K, ss.qLocal)
-		if !ok {
+		clear(mask)
+		for _, v := range current {
+			mask[v] = v != u
+		}
+		next := maximal(gs, q.Q, q.K, mask)
+		if next == nil {
 			break
+		}
+		// mask now marks the members next dropped, bar u.
+		for _, v := range next {
+			mask[v] = false
+		}
+		batch := []int32{u}
+		for _, v := range current {
+			if mask[v] {
+				batch = append(batch, v)
+			}
 		}
 		batches = append(batches, batch)
+		current = next
 	}
+	// Rank 1 is the non-contained MAC; each further rank restores the
+	// vertices one earlier deletion removed.
+	j := max(1, q.J)
 	ranked := make([]Community, 0, j)
-	current := sub.Vertices()
-	ranked = append(ranked, sortedIDs(current, ss.dag.IDs))
-	for r := 1; r < j; r++ {
-		idx := len(batches) - r
-		if idx < 0 {
-			break
+	members := slices.Clone(current)
+	for r := 0; r < j && r <= len(batches); r++ {
+		if r > 0 {
+			members = append(members, batches[len(batches)-r]...)
 		}
-		current = append(current, batches[idx]...)
-		ranked = append(ranked, sortedIDs(current, ss.dag.IDs))
+		c := Community(slices.Clone(members))
+		slices.Sort(c)
+		ranked = append(ranked, c)
 	}
-	return ranked
+	return ranked, nil
 }
 
 // ResultAt returns the CellResult whose cell contains the weight vector w,

@@ -50,10 +50,10 @@ type SearchOptions struct {
 //
 // The two built-in engines (core, truss) are obtained from EngineFor;
 // callers that hard-code a variant can use Prepare (core) or PrepareTruss.
-// The seed/search halves are unexported, so engines live in this package —
-// "pluggable" means the service tier and every caller above it select and
-// drive engines solely through this interface, never through
-// variant-specific entry points.
+// The seed, search and deletion-step halves are unexported, so engines live
+// in this package — "pluggable" means the service tier and every caller
+// above it select and drive engines solely through this interface, never
+// through variant-specific entry points.
 type Engine interface {
 	// Variant names the engine's cohesiveness criterion; it is part of any
 	// external cache identity (two variants sharing (Q, K, T) prepare
@@ -67,11 +67,21 @@ type Engine interface {
 	// seed computes the members of the maximal cohesive subgraph containing
 	// q.Q within query distance q.T — the variant-specific half of Prepare.
 	seed(net *Network, q *Query) ([]int32, error)
-	// needsLocalGraph reports whether region spaces must also carry the
-	// localized community graph (the core engines' cascade machinery).
-	needsLocalGraph() bool
 	// search runs the engine over a resolved region space.
 	search(p *Prepared, rs *regionSpace, q *Query, opts SearchOptions) (*Result, error)
+
+	// rootSub and deleteLeaf are the one step of Algorithm 1 that depends on
+	// the variant: deleting the smallest-score leaf u from a task's
+	// community H and restoring the variant's maximal cohesive subgraph
+	// containing Q. gsEngine drives both variants through them.
+	//
+	// rootSub returns the cascade state of the whole search space, carried
+	// by the root task, or nil for a step that keeps none.
+	rootSub(ss *searchSpace) *social.Sub
+	// deleteLeaf returns the local vertices the deletion removes and the
+	// child task's cascade state. ok=false is Corollary 1's condition (2):
+	// no cohesive subgraph containing Q survives the deletion.
+	deleteLeaf(ss *searchSpace, t gsTask, u int32, sc *macScratch) (batch []int32, sub *social.Sub, ok bool)
 }
 
 // engines registers the built-in variants.
@@ -111,8 +121,7 @@ func prepareEngine(eng Engine, net *Network, q *Query) (*Prepared, error) {
 // coreEngine is the k-core engine: the paper's primary algorithms.
 type coreEngine struct{}
 
-func (coreEngine) Variant() Variant      { return VariantCore }
-func (coreEngine) needsLocalGraph() bool { return true }
+func (coreEngine) Variant() Variant { return VariantCore }
 
 func (e coreEngine) Prepare(net *Network, q *Query) (*Prepared, error) {
 	return prepareEngine(e, net, q)
@@ -147,45 +156,28 @@ func (coreEngine) deleteLeaf(ss *searchSpace, t gsTask, u int32, sc *macScratch)
 }
 
 // newSearchSpace assembles a per-run searchSpace over a resolved region
-// space, searched with the variant's deletion step. The returned space
-// shares dag, hg, qLocal, and degBase read-only with every concurrent run on
-// the same region; stats are fresh per run.
-func newSearchSpace(net *Network, rs *regionSpace, q *Query, del deletion) *searchSpace {
+// space, searched with the engine's deletion step. The returned space shares
+// dag, hg, qLocal, and degBase read-only with every concurrent run on the
+// same region; stats are fresh per run.
+func newSearchSpace(net *Network, rs *regionSpace, q *Query, eng Engine) *searchSpace {
 	ss := &searchSpace{
-		net: net, query: q, del: del,
+		net: net, query: q, eng: eng,
 		dag: rs.dag, hg: rs.hg, qLocal: rs.qLocal, degBase: rs.degBase,
 	}
 	ss.stats.KTCoreSize = rs.dag.N()
-	if rs.hg != nil {
-		ss.stats.KTCoreEdges = rs.hg.M()
-	}
+	ss.stats.KTCoreEdges = rs.hg.M()
 	ss.stats.DomGraphArcs = rs.arcs
 	return ss
 }
 
-// prepare composes the full one-shot core search space for a single query —
-// the Prepare + region resolution the reference oracles use. Long-lived
-// callers hold a Prepared instead and amortize both stages.
-func prepare(net *Network, q *Query) (*searchSpace, error) {
-	p, err := Prepare(net, q)
-	if err != nil {
-		return nil, err
-	}
-	rs, err := p.regionSpace(q)
-	if err != nil {
-		return nil, err
-	}
-	return newSearchSpace(net, rs, q, coreEngine{}), nil
-}
-
 // trussVariant is the k-truss engine. It runs Algorithm 1 on gsEngine like
-// the core engine; its deletion step recomputes the maximal connected
-// k-truss (see deleteLeaf), so this variant suits moderate community sizes
-// and the core engine remains the fast path.
+// the core engine, over the same region state; its deletion step
+// recomputes the maximal connected k-truss over the task's community in
+// local ids (see deleteLeaf), where the core engine runs an incremental
+// cascade, so each truss deletion costs a truss decomposition of H.
 type trussVariant struct{}
 
-func (trussVariant) Variant() Variant      { return VariantTruss }
-func (trussVariant) needsLocalGraph() bool { return false }
+func (trussVariant) Variant() Variant { return VariantTruss }
 
 func (e trussVariant) Prepare(net *Network, q *Query) (*Prepared, error) {
 	return prepareEngine(e, net, q)

@@ -103,20 +103,6 @@ type gsTask struct {
 	path    []int32
 }
 
-// deletion is the one step of Algorithm 1 that depends on the cohesiveness
-// variant: deleting the smallest-score leaf u from a task's community H and
-// restoring the variant's maximal cohesive subgraph containing Q. coreEngine
-// and trussVariant implement it, and gsEngine drives both through it.
-type deletion interface {
-	// rootSub returns the cascade state of the whole search space, carried
-	// by the root task, or nil for a step that keeps none.
-	rootSub(ss *searchSpace) *social.Sub
-	// deleteLeaf returns the local vertices the deletion removes and the
-	// child task's cascade state. ok=false is Corollary 1's condition (2):
-	// no cohesive subgraph containing Q survives the deletion.
-	deleteLeaf(ss *searchSpace, t gsTask, u int32, sc *macScratch) (batch []int32, sub *social.Sub, ok bool)
-}
-
 // run executes the search over the given root cell starting from H_k^t.
 func (e *gsEngine) run(root *geom.Cell) {
 	e.root = root
@@ -140,7 +126,7 @@ func (e *gsEngine) run(root *geom.Cell) {
 		}
 		e.hp = newHPMemo(pairs, e.par > 1)
 	}
-	start := gsTask{sub: e.ss.del.rootSub(e.ss), alive: alive, cell: root}
+	start := gsTask{sub: e.ss.eng.rootSub(e.ss), alive: alive, cell: root}
 	scratches := newScratches(e.par)
 	conc.Tree(e.par, []gsTask{start}, func(worker int, t gsTask) []gsTask {
 		return e.step(t, scratches[worker])
@@ -215,7 +201,7 @@ func (e *gsEngine) step(t gsTask, sc *macScratch) []gsTask {
 			e.emit(gsTask{alive: t.alive, cell: cell, batches: t.batches, path: appendPath(t.path, int32(ci))}, sc)
 			continue
 		}
-		batch, sub2, ok := e.ss.del.deleteLeaf(e.ss, t, u, sc)
+		batch, sub2, ok := e.ss.eng.deleteLeaf(e.ss, t, u, sc)
 		if !ok {
 			// Corollary 1 condition (2): deletion destroys the cohesive
 			// subgraph containing Q.

@@ -3,6 +3,7 @@ package mac
 import (
 	"roadsocial/internal/conc"
 	"roadsocial/internal/geom"
+	"roadsocial/internal/social"
 )
 
 // LocalOptions tunes the local search framework (Algorithm 3).
@@ -121,6 +122,37 @@ func localSearchOn(ss *searchSpace, q *Query, opts LocalOptions) (*Result, error
 	res.Stats = ss.stats
 	res.Stats.Partitions = len(cells)
 	return res, nil
+}
+
+// terminalAt returns the local vertex set of the non-contained MAC at one
+// exact weight vector, by running the deletion process with the k-core
+// cascade. It seeds local search with the exact answer at R's pivot and
+// corners.
+func (ss *searchSpace) terminalAt(w []float64) []int32 {
+	n := ss.dag.N()
+	sub := social.NewSub(ss.hg, allLocal(n))
+	scoreAt := make([]float64, n)
+	for i := 0; i < n; i++ {
+		scoreAt[i] = ss.dag.Scores[i].At(w)
+	}
+	for {
+		u := int32(-1)
+		for v := int32(0); v < int32(n); v++ {
+			if !sub.Alive(v) {
+				continue
+			}
+			if u < 0 || scoreAt[v] < scoreAt[u]-geom.Eps {
+				u = v
+			}
+		}
+		if u < 0 || containsLocal(ss.qLocal, u) {
+			break
+		}
+		if _, ok := sub.TryDeleteCascade(u, ss.query.K, ss.qLocal); !ok {
+			break
+		}
+	}
+	return sub.Vertices()
 }
 
 // CommunityScore evaluates S(H) = min over members of the weighted attribute

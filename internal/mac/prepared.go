@@ -20,10 +20,9 @@ import (
 // maximal connected k-truss within distance t for the truss engine — whose
 // computation is dominated by the road-network range query and dominates
 // small-query latency, plus a small internal cache of region-dependent
-// state (the r-dominance DAG and, for the core engine, the localized
-// community graph), so a stream of queries sharing (engine, Q, k, t) pays
-// Prepare once and queries that additionally share the region skip straight
-// to the search.
+// state (the r-dominance DAG and the localized community graph), so a
+// stream of queries sharing (engine, Q, k, t) pays Prepare once and queries
+// that additionally share the region skip straight to the search.
 //
 // A Prepared is immutable apart from its internal region cache, which is
 // synchronized: any number of goroutines may call Search (and the
@@ -49,9 +48,9 @@ type Prepared struct {
 const maxRegionSpaces = 8
 
 // regionSpace is the region-dependent half of the prepared state, read-only
-// after construction and shared across every query that uses it. The truss
-// engine only needs the DAG; hg and degBase stay nil for it (see
-// Engine.needsLocalGraph).
+// after construction and shared across every query that uses it: the
+// r-dominance DAG over the members and the localized graph hg over the same
+// local ids, for both variants.
 type regionSpace struct {
 	dag     *domgraph.DAG
 	hg      *social.Graph
@@ -333,8 +332,8 @@ func (p *Prepared) touch(key string) {
 }
 
 // buildRegionSpace constructs the r-dominance graph over the cohesive
-// subgraph for the query's region and — for engines that need it — relabels
-// the community graph into the DAG's local space.
+// subgraph for the query's region and relabels the community graph into the
+// DAG's local space.
 func (p *Prepared) buildRegionSpace(q *Query) (*regionSpace, error) {
 	if queryCancelled(q) {
 		return nil, ErrCanceled
@@ -358,9 +357,6 @@ func (p *Prepared) buildRegionSpace(q *Query) (*regionSpace, error) {
 		arcs += len(dag.Children(v))
 	}
 	rs := &regionSpace{dag: dag, qLocal: qLocal, arcs: arcs}
-	if !p.eng.needsLocalGraph() {
-		return rs, nil
-	}
 
 	// Localized graph: vertex i corresponds to dag.IDs[i].
 	hb := social.NewBuilder(dag.N(), net.Social.D())

@@ -156,14 +156,13 @@ type CellResult struct {
 func (cr CellResult) NCMAC() Community { return cr.Ranked[0] }
 
 // Stats records search effort counters reported by the experiments. Both
-// variants fill the size, arc and partition counters and, through the shared
-// Algorithm 1 DFS, Hyperplanes, CellsExplored and Deletions. KTCoreEdges
-// counts the core engine's localized graph, which the truss engine does not
-// build, and the local-search counters (Candidates, Promising, CascadeSims)
-// are core-only because local search is.
+// variants fill the size, edge, arc and partition counters and, through the
+// shared Algorithm 1 DFS, Hyperplanes, CellsExplored and Deletions. The
+// local-search counters (Candidates, Promising, CascadeSims) are core-only
+// because local search is.
 type Stats struct {
 	KTCoreSize    int // |V(H_k^t)|, or the maximal k-truss's size
-	KTCoreEdges   int // edges of the localized graph (core only)
+	KTCoreEdges   int // edges of the localized graph over those members
 	DomGraphArcs  int
 	Partitions    int // number of output partitions of R
 	Hyperplanes   int // distinct hyperplanes inserted into arrangements
@@ -215,16 +214,16 @@ func sortedIDs(local []int32, toGlobal []int32) Community {
 
 // searchSpace holds the shared state one search run starts from: the
 // maximal cohesive subgraph relabeled into the DAG's local index space, and
-// the variant's deletion step. The dag, hg, qLocal, and degBase fields point
-// into a regionSpace that may be shared read-only with other concurrent
-// queries (see Prepared); stats are per-run, accumulated per-scratch by
-// workers and merged under statsMu.
+// the engine whose deletion step searches it. The dag, hg, qLocal, and
+// degBase fields point into a regionSpace that may be shared read-only with
+// other concurrent queries (see Prepared); stats are per-run, accumulated
+// per-scratch by workers and merged under statsMu.
 type searchSpace struct {
 	net    *Network
 	query  *Query
-	del    deletion
+	eng    Engine
 	dag    *domgraph.DAG
-	hg     *social.Graph // localized H_k^t graph (core only); vertex i == DAG local i
+	hg     *social.Graph // localized cohesive subgraph; vertex i == DAG local i
 	qLocal []int32
 	// degBase[v] is v's degree in hg, precomputed so cascade simulations
 	// seed their working degrees with one copy instead of n Degree calls.

@@ -76,8 +76,9 @@ type State struct {
 	// Core holds per-vertex core numbers, maintained by restricted BZ
 	// re-peeling of the affected subcore.
 	Core []int
-	// Truss holds per-edge truss numbers keyed by social.EdgeKey,
-	// maintained by triangle-local support propagation.
+	// Truss holds per-edge truss numbers from TrussDecomposition (its keys
+	// decode with social.EdgeKeyEndpoints), maintained by triangle-local
+	// support propagation.
 	Truss map[int64]int
 }
 

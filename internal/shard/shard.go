@@ -601,15 +601,6 @@ func (rt *Router) staleReplicaNames() map[string][]string {
 	return out
 }
 
-// Owner returns the backend owning a dataset.
-func (rt *Router) Owner(dataset string) Backend {
-	return rt.backends[rt.OwnerIndex(dataset)]
-}
-
-// Backends returns the router's shards in registration order. Callers must
-// not mutate the result.
-func (rt *Router) Backends() []Backend { return rt.backends }
-
 // setReplicasLocked records a dataset's ordered replica set (primary first)
 // in the assignment table. A single-member set equal to the ring owner needs
 // no record; everything else is pinned. When persistence is enabled, the

@@ -158,13 +158,21 @@ func (g *Graph) MaximalConnectedKCore(q []int32, k int, allowed []bool) []int32 
 			return nil
 		}
 	}
-	comp := g.ConnectedComponentOf(q[0], mask)
-	inComp := make(map[int32]bool, len(comp))
-	for _, v := range comp {
-		inComp[v] = true
+	// BFS from q[0] on the mask itself: a vertex leaves the mask when it is
+	// reached, so a query vertex still in the mask afterwards lies in
+	// another component.
+	comp := []int32{q[0]}
+	mask[q[0]] = false
+	for i := 0; i < len(comp); i++ {
+		for _, w := range g.adj[comp[i]] {
+			if mask[w] {
+				mask[w] = false
+				comp = append(comp, w)
+			}
+		}
 	}
 	for _, v := range q {
-		if !inComp[v] {
+		if mask[v] {
 			return nil
 		}
 	}

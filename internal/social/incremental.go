@@ -610,10 +610,6 @@ func (g *Graph) IncrementalTrussDelete(truss map[int64]int, u, v int32) (changed
 	return append(g.trussRepeel(truss, cand, es), removed)
 }
 
-// EdgeKey canonicalizes an undirected edge into the int64 key used by the
-// truss decomposition maps (the exported form of edgeKey, for the mutation
-// subsystem and tests).
-func EdgeKey(u, v int32) int64 { return edgeKey(u, v) }
-
-// EdgeKeyEndpoints is the inverse of EdgeKey.
+// EdgeKeyEndpoints returns the endpoints of a truss map key, the smaller
+// first.
 func EdgeKeyEndpoints(k int64) (u, v int32) { return int32(k >> 32), int32(uint32(k)) }

@@ -101,32 +101,6 @@ func (s *Sub) Vertices() []int32 {
 	return out
 }
 
-// MinDegree returns the minimum degree over alive vertices (0 for empty).
-func (s *Sub) MinDegree() int {
-	first := true
-	md := 0
-	for v, a := range s.alive {
-		if !a {
-			continue
-		}
-		if first || int(s.deg[v]) < md {
-			md = int(s.deg[v])
-			first = false
-		}
-	}
-	return md
-}
-
-// AliveNeighbors appends the alive neighbors of v to buf and returns it.
-func (s *Sub) AliveNeighbors(v int32, buf []int32) []int32 {
-	for _, w := range s.g.adj[v] {
-		if s.alive[w] {
-			buf = append(buf, w)
-		}
-	}
-	return buf
-}
-
 // Remove deletes v unconditionally (no cascade, no rollback), updating
 // neighbor degrees. Callers that need the k-core maintained should use
 // TryDeleteCascade or cascade on their own.
