@@ -96,17 +96,22 @@ func Build(region *geom.Region, ids []int32, vecs [][]float64, fanout int) *DAG 
 		d.desc[i] = bitset.New(n)
 	}
 	dominators := make([]int32, 0, 64)
+	// upper holds the score of the MBB upper corner the descent is testing,
+	// and indirect the ancestors of the current vertex's dominators: one
+	// buffer each for the whole build.
+	upper := make([]float64, dim)
+	indirect := bitset.New(n)
 	for local := 0; local < n; local++ {
 		orig := popped[local]
 		dominators = dominators[:0]
-		dominators = d.findDominators(tree.Root, scores, rank, int32(local), orig, vecs[orig], dominators)
+		dominators = d.findDominators(tree.Root, scores, rank, int32(local), orig, upper, dominators)
 		d.domCount[local] = int32(len(dominators))
 		if len(dominators) == 0 {
 			d.layer[local] = 0
 		} else {
 			// Direct parents: dominators that are not ancestors of another
 			// dominator.
-			indirect := bitset.New(n)
+			indirect.Reset()
 			maxLayer := int32(-1)
 			for _, u := range dominators {
 				indirect.Or(d.anc[u])
@@ -197,10 +202,10 @@ func (d *DAG) popOrder(tree *rtree.Tree, scores []geom.Score, pivotScore []float
 // corner does not weakly dominate the target are pruned: since all weights
 // are non-negative, the upper corner's score bounds every member's score
 // from above at every w in R.
-func (d *DAG) findDominators(node *rtree.Node, scores []geom.Score, rank []int32, local int32, orig int32, vec []float64, acc []int32) []int32 {
+// upper is scratch for the upper corner's score; each call overwrites it.
+func (d *DAG) findDominators(node *rtree.Node, scores []geom.Score, rank []int32, local int32, orig int32, upper []float64, acc []int32) []int32 {
 	target := scores[orig]
-	upper := geom.ScoreOf(node.Box.UpperCorner())
-	if c := d.Region.Compare(upper, target); c == geom.RDominated || c == geom.RIncomparable {
+	if c := d.Region.Compare(geom.ScoreInto(upper, node.Box.UpperCorner()), target); c == geom.RDominated || c == geom.RIncomparable {
 		// No member of this subtree can dominate the target everywhere.
 		return acc
 	}
@@ -218,7 +223,7 @@ func (d *DAG) findDominators(node *rtree.Node, scores []geom.Score, rank []int32
 		return acc
 	}
 	for _, c := range node.Children {
-		acc = d.findDominators(c, scores, rank, local, orig, vec, acc)
+		acc = d.findDominators(c, scores, rank, local, orig, upper, acc)
 	}
 	return acc
 }

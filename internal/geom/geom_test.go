@@ -101,6 +101,57 @@ func TestRegionCompare(t *testing.T) {
 	checkAgainstSampling(t, r, s("v1"), s("v5"))
 	checkAgainstSampling(t, r, s("v4"), s("v3"))
 	checkAgainstSampling(t, r, s("v6"), s("v5"))
+
+	// Pairs whose difference at one corner lies within a few ulps of ±Eps
+	// classify by rounding, so Compare must round as s.Sub(t).At(c) does.
+	rng := rand.New(rand.NewSource(5))
+	corners := r.Corners()
+	near := 0
+	for i := 0; i < 20000; i++ {
+		a := Score{Coef: []float64{rng.Float64()*10 - 5, rng.Float64()*10 - 5}, Const: rng.Float64() * 10}
+		b := Score{Coef: []float64{rng.Float64()*10 - 5, rng.Float64()*10 - 5}}
+		c := corners[rng.Intn(len(corners))]
+		target := Eps
+		if rng.Intn(2) == 0 {
+			target = -Eps
+		}
+		base := a.Sub(b).At(c)
+		b.Const = base - target + float64(rng.Intn(9)-4)*(math.Nextafter(base, math.Inf(1))-base)
+		if math.Abs(math.Abs(a.Sub(b).At(c))-Eps) < 1e-14 {
+			near++
+		}
+		if got, want := r.Compare(a, b), compareBySub(r, a, b); got != want {
+			t.Fatalf("Compare(%v, %v) = %v, s.Sub(t).At(c) classifies %v", a, b, got, want)
+		}
+	}
+	if near < 10000 {
+		t.Fatalf("only %d of 20000 pairs fell near ±Eps", near)
+	}
+}
+
+// compareBySub is Compare written with an allocated difference score.
+func compareBySub(r *Region, s, t Score) Dominance {
+	diff := s.Sub(t)
+	geAll, leAll := true, true
+	for _, c := range r.Corners() {
+		v := diff.At(c)
+		if v < -Eps {
+			geAll = false
+		}
+		if v > Eps {
+			leAll = false
+		}
+	}
+	switch {
+	case geAll && leAll:
+		return REqual
+	case geAll:
+		return RDominates
+	case leAll:
+		return RDominated
+	default:
+		return RIncomparable
+	}
 }
 
 func checkAgainstSampling(t *testing.T, r *Region, a, b Score) {

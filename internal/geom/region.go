@@ -109,11 +109,19 @@ const (
 // Compare classifies the relationship between scores s and t over R by
 // evaluating the difference at every polytope vertex of R — exact for
 // affine functions over a convex region, O(p·d) as in Section IV-A.
+//
+// The difference is evaluated in place, in the order s.Sub(t).At(c) would
+// evaluate it: the constant difference first, then each coefficient
+// difference times the corner. Scores within a few ulps of ±Eps classify
+// by that rounding, so evaluating s(c) − t(c) instead would move pairs
+// between classes.
 func (r *Region) Compare(s, t Score) Dominance {
-	diff := s.Sub(t)
 	geAll, leAll := true, true
 	for _, c := range r.corners {
-		v := diff.At(c)
+		v := s.Const - t.Const
+		for i, sc := range s.Coef {
+			v += (sc - t.Coef[i]) * c[i]
+		}
 		if v < -Eps {
 			geAll = false
 		}

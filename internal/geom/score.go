@@ -22,13 +22,22 @@ type Score struct {
 // ScoreOf converts a d-dimensional attribute vector into its affine score
 // function over the (d-1)-dimensional preference domain.
 func ScoreOf(x []float64) Score {
+	if len(x) == 0 {
+		return Score{}
+	}
+	return ScoreInto(make([]float64, len(x)-1), x)
+}
+
+// ScoreInto is ScoreOf writing the coefficients into buf, which must hold at
+// least len(x)-1 values; the returned score aliases buf.
+func ScoreInto(buf, x []float64) Score {
 	d := len(x)
 	if d == 0 {
 		return Score{}
 	}
 	xd := x[d-1]
-	coef := make([]float64, d-1)
-	for i := 0; i < d-1; i++ {
+	coef := buf[:d-1]
+	for i := range coef {
 		coef[i] = x[i] - xd
 	}
 	return Score{Coef: coef, Const: xd}
@@ -46,7 +55,8 @@ func (s Score) At(w []float64) float64 {
 // Dim returns the dimension of the preference domain the score lives in.
 func (s Score) Dim() int { return len(s.Coef) }
 
-// Sub returns the affine function s - t.
+// Sub returns the affine function s - t. Region.Compare evaluates it in
+// place, and its tests hold Compare to Sub(...).At's rounding.
 func (s Score) Sub(t Score) Score {
 	coef := make([]float64, len(s.Coef))
 	for i := range coef {

@@ -14,6 +14,7 @@ import (
 	"math"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 )
 
 // Eps is the absolute tolerance used for feasibility and comparison tests.
@@ -118,6 +119,41 @@ func (s *scratch) consN(n int) []Constraint {
 	return s.cons[start : start : start+n]
 }
 
+// orderBound bounds the constraint counts whose insertion order is cached,
+// which keeps the cache to a few kilobytes.
+const orderBound = 64
+
+// orders[n] is the seeded shuffle of 0..n-1, drawn by the first solve with
+// n constraints. Racing solves draw the same order, so either store wins.
+var orders [orderBound]atomic.Pointer[[]int]
+
+// order returns the insertion order of n constraints. Seidel's expected
+// running time depends on a random insertion order, but any fixed
+// pseudo-random order works in practice for the small systems we solve.
+// Counts of orderBound and above are shuffled again on every solve.
+func (s *scratch) order(n int) []int {
+	if n >= orderBound {
+		return s.shuffle(s.intsN(n))
+	}
+	if p := orders[n].Load(); p != nil {
+		return *p
+	}
+	order := s.shuffle(make([]int, n))
+	orders[n].Store(&order)
+	return order
+}
+
+// shuffle fills order with 0..len(order)-1 in the order a generator freshly
+// seeded with seidelSeed shuffles them into, by reseeding the pooled one.
+func (s *scratch) shuffle(order []int) []int {
+	for i := range order {
+		order[i] = i
+	}
+	s.rng.Seed(seidelSeed)
+	s.rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+	return order
+}
+
 func (s *scratch) reset() {
 	s.f64 = s.f64[:0]
 	s.ints = s.ints[:0]
@@ -126,7 +162,10 @@ func (s *scratch) reset() {
 
 // Solve minimizes obj·x subject to cons and lo[j] <= x[j] <= hi[j].
 // The box must satisfy lo[j] <= hi[j]; the feasible region is therefore
-// bounded. Solve is deterministic: the internal shuffle uses a fixed seed.
+// bounded. Solve is deterministic: the constraints are inserted in the
+// order a generator seeded with seidelSeed shuffles them into, which
+// depends on their count alone, so the order of each count below
+// orderBound is drawn once and shared by every later solve.
 func Solve(obj []float64, cons []Constraint, lo, hi []float64) Result {
 	dim := len(obj)
 	if dim == 0 {
@@ -148,19 +187,8 @@ func Solve(obj []float64, cons []Constraint, lo, hi []float64) Result {
 		s.reset()
 		scratchPool.Put(s)
 	}()
-	// Deterministic shuffle: Seidel's expected running time depends on a
-	// random insertion order, but any fixed pseudo-random order works in
-	// practice for the small systems we solve. Reseeding the pooled
-	// generator reproduces the exact order a fresh one would draw.
-	order := s.intsN(len(cons))
-	for i := range order {
-		order[i] = i
-	}
-	s.rng.Seed(seidelSeed)
-	s.rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-
 	shuffled := s.consN(len(cons))
-	for _, idx := range order {
+	for _, idx := range s.order(len(cons)) {
 		shuffled = append(shuffled, cons[idx])
 	}
 	x, ok := seidel(obj, shuffled, lo, hi, s)

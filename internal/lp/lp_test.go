@@ -3,6 +3,8 @@ package lp
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -239,4 +241,45 @@ func TestQuickMinMaxBracket(t *testing.T) {
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestOrderMatchesFreshShuffle pins the cached insertion orders to the
+// shuffle a fresh generator seeded with seidelSeed draws, for every count
+// below orderBound (twice, so that the second call reads the cache) and for
+// one count above it, from four goroutines at once.
+func TestOrderMatchesFreshShuffle(t *testing.T) {
+	counts := make([]int, orderBound, orderBound+1)
+	for i := range counts {
+		counts[i] = i
+	}
+	counts = append(counts, orderBound+5)
+	want := make(map[int][]int, len(counts))
+	for _, n := range counts {
+		order := make([]int, n)
+		for i := range order {
+			order[i] = i
+		}
+		rng := rand.New(rand.NewSource(seidelSeed))
+		rng.Shuffle(n, func(i, j int) { order[i], order[j] = order[j], order[i] })
+		want[n] = order
+	}
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s := scratchPool.Get().(*scratch)
+			defer scratchPool.Put(s)
+			for _, n := range counts {
+				for call := 0; call < 2; call++ {
+					if got := s.order(n); !slices.Equal(got, want[n]) {
+						t.Errorf("n=%d call %d: order %v, want %v", n, call, got, want[n])
+						return
+					}
+					s.reset()
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -14,7 +14,7 @@ import (
 // exact score at w and recompute the maximal connected k-core over the
 // vertices that remain, until Corollary 1 stops the process. It is the
 // reference oracle the search algorithms are tested against; its cost is
-// one k-core decomposition of the social graph per deletion.
+// one k-core decomposition of H_k^t's induced subgraph per deletion.
 func BruteForceAt(net *Network, q *Query, w []float64) ([]Community, error) {
 	return bruteForce(net, q, w, (*social.Graph).MaximalConnectedKCore)
 }
@@ -22,7 +22,8 @@ func BruteForceAt(net *Network, q *Query, w []float64) ([]Community, error) {
 // bruteForce is the oracle of both variants; maximal returns the variant's
 // maximal connected cohesive subgraph containing q within a vertex mask.
 // Past the range query it shares nothing with the engines it checks: no
-// Prepared, r-dominance DAG, localized graph or cascade state.
+// Prepared, r-dominance DAG, localized graph or cascade state; it builds its
+// own induced subgraph with a social.Builder.
 func bruteForce(net *Network, q *Query, w []float64, maximal func(g *social.Graph, q []int32, k int, allowed []bool) []int32) ([]Community, error) {
 	if err := net.Validate(); err != nil {
 		return nil, err
@@ -47,14 +48,39 @@ func bruteForce(net *Network, q *Query, w []float64, maximal func(g *social.Grap
 	for v := range mask {
 		mask[v] = dq[v] <= q.T
 	}
-	current := maximal(gs, q.Q, q.K, mask)
-	if current == nil {
+	first := maximal(gs, q.Q, q.K, mask)
+	if first == nil {
 		return nil, ErrNoCommunity
 	}
-	score := make([]float64, gs.N())
-	for _, v := range current {
-		score[v] = geom.ScoreOf(gs.Attrs(int(v))).At(w)
+	// Every later community lies inside the first, so the deletion loop runs
+	// on the first members' induced subgraph. Local ids keep user-id order,
+	// which keeps the tie rule.
+	ids := slices.Clone(first)
+	slices.Sort(ids)
+	b := social.NewBuilder(len(ids), 0)
+	for i, v := range ids {
+		for _, x := range gs.Neighbors(int(v)) {
+			if j, ok := slices.BinarySearch(ids, x); ok && i < j {
+				b.AddEdge(i, j)
+			}
+		}
 	}
+	g, err := b.Build()
+	if err != nil {
+		return nil, err
+	}
+	qLocal := make([]int32, len(q.Q))
+	for i, v := range q.Q {
+		j, _ := slices.BinarySearch(ids, v)
+		qLocal[i] = int32(j)
+	}
+	score := make([]float64, len(ids))
+	current := make([]int32, len(ids))
+	for i, v := range ids {
+		score[i] = geom.ScoreOf(gs.Attrs(int(v))).At(w)
+		current[i] = int32(i)
+	}
+	mask = make([]bool, len(ids))
 	var batches [][]int32
 	for {
 		// Smallest-score member, ties by the lower user id.
@@ -64,14 +90,14 @@ func bruteForce(net *Network, q *Query, w []float64, maximal func(g *social.Grap
 				u = v
 			}
 		}
-		if slices.Contains(q.Q, u) {
+		if slices.Contains(qLocal, u) {
 			break
 		}
 		clear(mask)
 		for _, v := range current {
 			mask[v] = v != u
 		}
-		next := maximal(gs, q.Q, q.K, mask)
+		next := maximal(g, qLocal, q.K, mask)
 		if next == nil {
 			break
 		}
@@ -97,8 +123,11 @@ func bruteForce(net *Network, q *Query, w []float64, maximal func(g *social.Grap
 		if r > 0 {
 			members = append(members, batches[len(batches)-r]...)
 		}
-		c := Community(slices.Clone(members))
-		slices.Sort(c)
+		slices.Sort(members)
+		c := make(Community, len(members))
+		for i, v := range members {
+			c[i] = ids[v]
+		}
 		ranked = append(ranked, c)
 	}
 	return ranked, nil

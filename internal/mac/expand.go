@@ -78,34 +78,53 @@ type expandState struct {
 	minDeg int32
 	minCnt int // number of members attaining minDeg
 	dirty  bool
-	// connectivity-check buffers, reused across snapshots.
-	visited *bitset.Set
-	stack   []int32
+	// parent is a union-find forest over the members and comps counts its
+	// trees, the community's connected components: the community only
+	// grows, so add merges components and nothing ever splits one.
+	parent []int32
+	comps  int
 }
 
 func newExpandState(ss *searchSpace) *expandState {
 	return &expandState{
-		ss:      ss,
-		in:      bitset.New(ss.dag.N()),
-		degIn:   make([]int32, ss.dag.N()),
-		k:       ss.query.K,
-		visited: bitset.New(ss.dag.N()),
+		ss:     ss,
+		in:     bitset.New(ss.dag.N()),
+		degIn:  make([]int32, ss.dag.N()),
+		k:      ss.query.K,
+		parent: make([]int32, ss.dag.N()),
 	}
 }
 
 func (st *expandState) add(v int32) {
 	st.in.Set(int(v))
 	st.size++
+	st.parent[v] = v
+	st.comps++
 	if int(st.degIn[v]) < st.k {
 		st.below++
 	}
 	for _, w := range st.ss.hg.Neighbors(int(v)) {
-		if st.in.Test(int(w)) && int(st.degIn[w]) == st.k-1 {
-			st.below--
+		if st.in.Test(int(w)) {
+			if int(st.degIn[w]) == st.k-1 {
+				st.below--
+			}
+			if rv, rw := st.find(v), st.find(w); rv != rw {
+				st.parent[rw] = rv
+				st.comps--
+			}
 		}
 		st.degIn[w]++
 	}
 	st.dirty = true
+}
+
+// find returns the root of v's tree, halving the path it walks.
+func (st *expandState) find(v int32) int32 {
+	for st.parent[v] != v {
+		st.parent[v] = st.parent[st.parent[v]]
+		v = st.parent[v]
+	}
+	return v
 }
 
 func (st *expandState) refreshMin() {
@@ -217,28 +236,5 @@ func (ss *searchSpace) expand(opts ExpandOptions) [][]int32 {
 }
 
 // connected reports whether the current community forms a connected
-// subgraph of the localized H_k^t graph, reusing the state's DFS buffers.
-func (st *expandState) connected() bool {
-	if st.size == 0 {
-		return false
-	}
-	var seed int32 = -1
-	st.in.ForEach(func(i int) bool { seed = int32(i); return false })
-	st.visited.Reset()
-	stack := append(st.stack[:0], seed)
-	st.visited.Set(int(seed))
-	count := 1
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, w := range st.ss.hg.Neighbors(int(v)) {
-			if st.in.Test(int(w)) && !st.visited.Test(int(w)) {
-				st.visited.Set(int(w))
-				count++
-				stack = append(stack, w)
-			}
-		}
-	}
-	st.stack = stack
-	return count == st.size
-}
+// subgraph of the localized H_k^t graph.
+func (st *expandState) connected() bool { return st.comps == 1 }

@@ -55,3 +55,19 @@ func BenchmarkLocalSearchParallelism(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkRegionSpace measures one region build on the bench instance's
+// prepared state: the r-dominance DAG, then the localized graph.
+func BenchmarkRegionSpace(b *testing.B) {
+	net, q := benchInstance(b)
+	p, err := Prepare(net, q)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := p.buildRegionSpace(q); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -50,7 +50,8 @@ const maxRegionSpaces = 8
 // regionSpace is the region-dependent half of the prepared state, read-only
 // after construction and shared across every query that uses it: the
 // r-dominance DAG over the members and the localized graph hg over the same
-// local ids, for both variants.
+// local ids, for both variants. hg shares its members' attribute vectors
+// with the network's social graph instead of copying them.
 type regionSpace struct {
 	dag     *domgraph.DAG
 	hg      *social.Graph
@@ -356,30 +357,10 @@ func (p *Prepared) buildRegionSpace(q *Query) (*regionSpace, error) {
 	for v := int32(0); v < int32(dag.N()); v++ {
 		arcs += len(dag.Children(v))
 	}
-	rs := &regionSpace{dag: dag, qLocal: qLocal, arcs: arcs}
-
 	// Localized graph: vertex i corresponds to dag.IDs[i].
-	hb := social.NewBuilder(dag.N(), net.Social.D())
-	inKT := make(map[int32]int32, dag.N())
-	for id, local := range dag.Local {
-		inKT[id] = local
-	}
-	for id, local := range dag.Local {
-		hb.SetAttrs(int(local), net.Social.Attrs(int(id)))
-		hb.SetLabel(int(local), net.Social.Label(int(id)))
-		for _, w := range net.Social.Neighbors(int(id)) {
-			if wl, ok := inKT[w]; ok && id < w {
-				hb.AddEdge(int(local), int(wl))
-			}
-		}
-	}
-	hg, err := hb.Build()
-	if err != nil {
-		return nil, err
-	}
-	rs.hg = hg
-	rs.degBase = make([]int32, hg.N())
-	for v := 0; v < hg.N(); v++ {
+	hg := net.Social.Induced(dag.IDs)
+	rs := &regionSpace{dag: dag, hg: hg, qLocal: qLocal, arcs: arcs, degBase: make([]int32, hg.N())}
+	for v := range rs.degBase {
 		rs.degBase[v] = int32(hg.Degree(v))
 	}
 	return rs, nil

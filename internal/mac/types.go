@@ -8,6 +8,7 @@ package mac
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -208,7 +209,7 @@ func sortedIDs(local []int32, toGlobal []int32) Community {
 	for i, v := range local {
 		out[i] = toGlobal[v]
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 

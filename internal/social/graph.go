@@ -9,6 +9,7 @@ package social
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -93,6 +94,55 @@ func (b *Builder) Build() (*Graph, error) {
 	}
 	g.m /= 2
 	return g, nil
+}
+
+// Induced returns the subgraph of g induced by ids, relabeled so that
+// vertex i stands for ids[i]; ids must be distinct vertices of g. Its rows
+// and M equal those of a Builder given the same ids and edges. The rows live
+// in one CSR array, filled by visiting i in increasing order so that each
+// row comes out sorted without a sort. Vertex i shares ids[i]'s attribute
+// vector and label with g, which is safe because attribute updates are
+// copy-on-write (WithAttrs).
+func (g *Graph) Induced(ids []int32) *Graph {
+	n := len(ids)
+	local := make([]int32, g.N()) // parent id -> local id + 1, 0 outside
+	for i, v := range ids {
+		local[v] = int32(i) + 1
+	}
+	off := make([]int32, n+1)
+	for i, v := range ids {
+		for _, w := range g.adj[v] {
+			if local[w] != 0 {
+				off[i+1]++
+			}
+		}
+	}
+	for i := 0; i < n; i++ {
+		off[i+1] += off[i]
+	}
+	h := &Graph{
+		adj:    make([][]int32, n),
+		attrs:  make([][]float64, n),
+		labels: make([]string, n),
+		m:      int(off[n]) / 2,
+		d:      g.d,
+	}
+	flat := make([]int32, off[n])
+	next := slices.Clone(off[:n]) // where row j's next entry goes
+	for i, v := range ids {
+		h.attrs[i] = g.attrs[v]
+		h.labels[i] = g.labels[v]
+		for _, w := range g.adj[v] {
+			if j := local[w] - 1; j >= 0 {
+				flat[next[j]] = int32(i)
+				next[j]++
+			}
+		}
+	}
+	for j := range h.adj {
+		h.adj[j] = flat[off[j]:off[j+1]:off[j+1]]
+	}
+	return h
 }
 
 // N returns the number of vertices.

@@ -2,6 +2,7 @@ package social
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -305,5 +306,193 @@ func TestQuickCascadeInvariant(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// plantedCutGraph builds dense blocks of k+2 to k+5 vertices (cliques minus
+// a few edges) and links each later block to an earlier one through a hub
+// vertex with k neighbours in both, so that deleting a hub cuts a block
+// that is still a k-core off the rest. A few noise edges between blocks
+// make some hubs redundant. It returns the graph and its hubs.
+func plantedCutGraph(t *testing.T, rng *rand.Rand, k int) (*Graph, []int32) {
+	t.Helper()
+	var blocks [][]int
+	n := 0
+	for range 2 + rng.Intn(4) {
+		size := k + 2 + rng.Intn(4)
+		block := make([]int, size)
+		for i := range block {
+			block[i] = n
+			n++
+		}
+		blocks = append(blocks, block)
+	}
+	b := NewBuilder(n+len(blocks)-1, 1)
+	var hubs []int32
+	for _, block := range blocks {
+		for i := range block {
+			for j := i + 1; j < len(block); j++ {
+				if rng.Float64() < 0.9 {
+					b.AddEdge(block[i], block[j])
+				}
+			}
+		}
+	}
+	for i := 1; i < len(blocks); i++ {
+		hub := n + i - 1
+		hubs = append(hubs, int32(hub))
+		for _, side := range [][]int{blocks[i], blocks[rng.Intn(i)]} {
+			for _, j := range rng.Perm(len(side))[:k] {
+				b.AddEdge(hub, side[j])
+			}
+		}
+	}
+	for range rng.Intn(3) {
+		b.AddEdge(rng.Intn(n), rng.Intn(n))
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g, hubs
+}
+
+// TestCascadeMatchesMaximalConnectedKCore pins TryDeleteCascade to its
+// definition: after deleting u from a connected k-core containing Q, the
+// alive set is MaximalConnectedKCore(q, k, alive−u), and ok is false
+// exactly when that is nil (the subgraph then stays as it was). The
+// planted cut vertices make the walk finish and drop cut-off components.
+func TestCascadeMatchesMaximalConnectedKCore(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	dropped := 0
+	for trial := 0; trial < 300; trial++ {
+		k := 2 + rng.Intn(2)
+		g, hubs := plantedCutGraph(t, rng, k)
+		q := []int32{int32(rng.Intn(g.N()))}
+		if rng.Intn(2) == 0 {
+			q = append(q, int32(rng.Intn(g.N())))
+		}
+		comp := g.MaximalConnectedKCore(q, k, nil)
+		if comp == nil {
+			continue
+		}
+		sub := NewSub(g, comp)
+		for step := 0; step < 8 && sub.Size() > 0; step++ {
+			var u int32
+			switch alive := sub.Vertices(); {
+			case rng.Intn(8) == 0:
+				u = int32(rng.Intn(g.N())) // maybe dead, maybe in Q
+			case rng.Intn(2) == 0:
+				u = hubs[rng.Intn(len(hubs))]
+			default:
+				u = alive[rng.Intn(len(alive))]
+			}
+			before := sub.Vertices()
+			allowed := make([]bool, g.N())
+			for _, v := range before {
+				allowed[v] = v != u
+			}
+			want := g.MaximalConnectedKCore(q, k, allowed)
+			if want != nil {
+				if core := g.MaximalKCore(k, allowed); countTrue(core) > len(want) {
+					dropped++
+				}
+			}
+			batch, ok := sub.TryDeleteCascade(u, k, q)
+			if ok != (want != nil) {
+				t.Fatalf("trial %d: delete %d from %v (k=%d, Q=%v): ok=%v, maximal core %v", trial, u, before, k, q, ok, want)
+			}
+			got := sub.Vertices()
+			if !ok {
+				want = before
+			}
+			slices.Sort(want)
+			if !slices.Equal(got, want) {
+				t.Fatalf("trial %d: delete %d from %v (k=%d, Q=%v): alive %v, want %v", trial, u, before, k, q, got, want)
+			}
+			gone := slices.Clone(batch)
+			slices.Sort(gone)
+			if wantGone := setMinus(before, got); !slices.Equal(gone, wantGone) {
+				t.Fatalf("trial %d: batch %v, want the vertices %v", trial, batch, wantGone)
+			}
+			for _, v := range got {
+				d := 0
+				for _, w := range g.Neighbors(int(v)) {
+					if sub.Alive(w) {
+						d++
+					}
+				}
+				if sub.Degree(v) != d {
+					t.Fatalf("trial %d: degree of %d is %d, want %d", trial, v, sub.Degree(v), d)
+				}
+			}
+		}
+	}
+	if dropped == 0 {
+		t.Fatal("no deletion cut off a component that is still a k-core")
+	}
+	t.Logf("%d deletions cut off a k-core component", dropped)
+}
+
+func countTrue(mask []bool) int {
+	n := 0
+	for _, b := range mask {
+		if b {
+			n++
+		}
+	}
+	return n
+}
+
+// setMinus returns the sorted members of a missing from b (both sorted).
+func setMinus(a, b []int32) []int32 {
+	var out []int32
+	for _, v := range a {
+		if _, found := slices.BinarySearch(b, v); !found {
+			out = append(out, v)
+		}
+	}
+	return out
+}
+
+// TestInducedMatchesBuilder pins Graph.Induced to the Builder graph over the
+// same ids, for random subsets in random order: the same rows, the same M,
+// and the parent's attribute vectors and labels.
+func TestInducedMatchesBuilder(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(40)
+		g := randomGraph(t, rng, n, rng.Float64()*0.5)
+		perm := rng.Perm(n)[:rng.Intn(n+1)]
+		ids := make([]int32, len(perm))
+		local := make(map[int32]int, len(perm))
+		for i, v := range perm {
+			ids[i] = int32(v)
+			local[int32(v)] = i
+		}
+		b := NewBuilder(len(ids), g.D())
+		for i, v := range ids {
+			for _, w := range g.Neighbors(int(v)) {
+				if j, ok := local[w]; ok && i < j {
+					b.AddEdge(i, j)
+				}
+			}
+		}
+		want, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := g.Induced(ids)
+		if got.N() != want.N() || got.M() != want.M() || got.D() != want.D() {
+			t.Fatalf("trial %d: N, M, D = %d, %d, %d, want %d, %d, %d", trial, got.N(), got.M(), got.D(), want.N(), want.M(), want.D())
+		}
+		for i, v := range ids {
+			if !slices.Equal(got.Neighbors(i), want.Neighbors(i)) {
+				t.Fatalf("trial %d: row %d is %v, want %v", trial, i, got.Neighbors(i), want.Neighbors(i))
+			}
+			if !slices.Equal(got.Attrs(i), g.Attrs(int(v))) || got.Label(i) != g.Label(int(v)) {
+				t.Fatalf("trial %d: vertex %d does not carry %d's attributes", trial, i, v)
+			}
+		}
 	}
 }

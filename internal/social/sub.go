@@ -1,5 +1,7 @@
 package social
 
+import "math"
+
 // Sub is a mutable induced subgraph of a Graph, supporting the cascading
 // deletion of Algorithm 1's DFS procedure: deleting a vertex recursively
 // deletes every vertex whose degree drops below k, then discards components
@@ -12,6 +14,17 @@ type Sub struct {
 	alive []bool
 	deg   []int32
 	size  int
+
+	// mark and stamp are TryDeleteCascade's scratch, never copied: within
+	// one call, mark[v] == stamp flags v as a vertex the connectivity walk
+	// must reach (a query vertex, or a live neighbour of the deleted batch)
+	// and mark[v] == stamp+1 as reached. Each call advances stamp by two,
+	// so marks left by earlier calls never match and the array is cleared
+	// only when the stamp wraps. queue is the cascade stack and the walk's
+	// queue in turn.
+	mark  []uint32
+	stamp uint32
+	queue []int32
 }
 
 // NewSub builds the induced subgraph over the given vertex list.
@@ -156,21 +169,31 @@ func (s *Sub) restore(log []int32) {
 // ok=false is returned (Corollary 1 holds: the current community is a
 // non-contained MAC). Otherwise the deletion batch (in deletion order) is
 // returned and the subgraph reflects the new community.
+//
+// The alive set must be connected before the call, as every community
+// Algorithm 1 keeps is. Then every component the batch cuts off holds a
+// live neighbour of the batch, so the connectivity walk from q[0] stops as
+// soon as it has reached Q and all of those neighbours; only when one stays
+// out of reach does it finish the component and drop what lies outside.
 func (s *Sub) TryDeleteCascade(u int32, k int, q []int32) (batch []int32, ok bool) {
 	if !s.alive[u] {
 		return nil, true
 	}
-	isQ := make(map[int32]bool, len(q))
+	target, reached := s.nextStamp()
+	pending := 0 // marked vertices the walk has not reached yet
 	for _, qv := range q {
-		isQ[qv] = true
+		if s.mark[qv] != target {
+			s.mark[qv] = target
+			pending++
+		}
 	}
-	if isQ[u] {
+	if s.mark[u] == target {
 		return nil, false
 	}
 	var log []int32
 	// Cascade: stack-based DFS deletion of degree violations.
 	s.remove(u, &log)
-	stack := make([]int32, 0, 8)
+	stack := s.queue[:0]
 	for _, w := range s.g.adj[u] {
 		if s.alive[w] && int(s.deg[w]) < k {
 			stack = append(stack, w)
@@ -182,7 +205,8 @@ func (s *Sub) TryDeleteCascade(u int32, k int, q []int32) (batch []int32, ok boo
 		if !s.alive[v] || int(s.deg[v]) >= k {
 			continue
 		}
-		if isQ[v] {
+		if s.mark[v] == target {
+			s.queue = stack
 			s.restore(log)
 			return nil, false
 		}
@@ -193,44 +217,72 @@ func (s *Sub) TryDeleteCascade(u int32, k int, q []int32) (batch []int32, ok boo
 			}
 		}
 	}
+	s.queue = stack
 	// Connectivity: keep only the component containing q[0]; other
 	// components cannot host a community containing Q, and dropping them
 	// cannot reduce any kept degree (no edges across components).
-	if len(q) > 0 {
-		if !s.alive[q[0]] {
-			s.restore(log)
-			return nil, false
-		}
-		reach := make([]bool, s.g.N())
-		queue := []int32{q[0]}
-		reach[q[0]] = true
-		count := 1
-		for len(queue) > 0 {
-			v := queue[0]
-			queue = queue[1:]
-			for _, w := range s.g.adj[v] {
-				if s.alive[w] && !reach[w] {
-					reach[w] = true
-					count++
-					queue = append(queue, w)
-				}
-			}
-		}
-		for _, qv := range q {
-			if !reach[qv] {
-				s.restore(log)
-				return nil, false
-			}
-		}
-		if count < s.size {
-			for v, a := range s.alive {
-				if a && !reach[v] {
-					s.remove(int32(v), &log)
-				}
+	if len(q) == 0 {
+		return log, true
+	}
+	if !s.alive[q[0]] {
+		s.restore(log)
+		return nil, false
+	}
+	for _, v := range log {
+		for _, w := range s.g.adj[v] {
+			if s.alive[w] && s.mark[w] != target {
+				s.mark[w] = target
+				pending++
 			}
 		}
 	}
+	queue := append(s.queue[:0], q[0])
+	s.mark[q[0]] = reached
+	pending--
+	for head := 0; head < len(queue) && pending > 0; head++ {
+		for _, w := range s.g.adj[queue[head]] {
+			if !s.alive[w] || s.mark[w] == reached {
+				continue
+			}
+			if s.mark[w] == target {
+				pending--
+			}
+			s.mark[w] = reached
+			queue = append(queue, w)
+		}
+	}
+	s.queue = queue
+	if pending == 0 {
+		return log, true
+	}
+	// The walk finished q[0]'s component with a mark outside it.
+	for _, qv := range q {
+		if s.mark[qv] != reached {
+			s.restore(log)
+			return nil, false
+		}
+	}
+	for v, a := range s.alive {
+		if a && s.mark[v] != reached {
+			s.remove(int32(v), &log)
+		}
+	}
 	return log, true
+}
+
+// nextStamp starts a TryDeleteCascade call's marks, growing mark to the
+// graph and clearing it when the stamp would wrap.
+func (s *Sub) nextStamp() (target, reached uint32) {
+	if n := s.g.N(); len(s.mark) < n {
+		s.mark = make([]uint32, n)
+		s.stamp = 0
+	}
+	if s.stamp >= math.MaxUint32-2 {
+		clear(s.mark)
+		s.stamp = 0
+	}
+	s.stamp += 2
+	return s.stamp, s.stamp + 1
 }
 
 // IsConnectedKCore verifies that the alive vertices form a connected k-core
